@@ -60,11 +60,11 @@ double GreedyResult::max_iteration_seconds() const {
   return worst;
 }
 
-GreedyStepResult solve_greedy_step(const net::TvnepInstance& working,
-                                   int target,
-                                   const std::vector<int>& force_accept,
-                                   const std::vector<int>& force_reject,
-                                   const GreedyOptions& options) {
+GreedyStepResult solve_greedy_step_mip(const net::TvnepInstance& working,
+                                       int target,
+                                       const std::vector<int>& force_accept,
+                                       const std::vector<int>& force_reject,
+                                       const GreedyOptions& options) {
   core::SolveParams params;
   params.build.objective = core::ObjectiveKind::kGreedyStep;
   params.build.greedy_target = target;
@@ -76,12 +76,15 @@ GreedyStepResult solve_greedy_step(const net::TvnepInstance& working,
 
   GreedyStepResult result;
   result.step = core::solve(working, core::ModelKind::kCSigma, params);
+  result.decided = result.step.has_solution;
   if (result.step.has_solution) {
     auto& emb =
         result.step.solution.requests[static_cast<std::size_t>(target)];
     if (emb.accepted) {
       emb.start = snap_step_start(working, target, emb.start);
       emb.end = emb.start + working.request(target).duration();
+      result.embedded.resize(static_cast<std::size_t>(working.num_requests()));
+      std::iota(result.embedded.begin(), result.embedded.end(), 0);
     }
     result.accepted = emb.accepted;
     result.start = emb.start;
@@ -110,12 +113,14 @@ GreedyResult solve_greedy(const net::TvnepInstance& instance,
   std::vector<int> sub_to_original;  // sub index → original request index
 
   std::vector<int> accepted_subs, rejected_subs;
-  core::TvnepSolution last_good;       // covers sub_to_original.size() - ? requests
-  std::vector<int> last_good_mapping;  // sub→original for last_good
+  // Latest embedding per sub index: a step re-embeds only what it lists
+  // in `embedded`, and everything else keeps flows that share no time
+  // with it, so the union stays jointly feasible.
+  std::vector<core::RequestEmbedding> current;
 
   for (std::size_t i = 0; i < order.size(); ++i) {
     // Honor the soft-cancel seam between iterations too: a watchdog-fired
-    // flag would otherwise keep launching step MIPs that each return
+    // flag would otherwise keep launching step solves that each return
     // kTimeLimit immediately, one per remaining request.
     if (options.mip.cancel != nullptr &&
         options.mip.cancel->load(std::memory_order_relaxed)) {
@@ -133,34 +138,34 @@ GreedyResult solve_greedy(const net::TvnepInstance& instance,
 
     Stopwatch iteration_watch;
     const GreedyStepResult step = solve_greedy_step(
-        working, target, accepted_subs, rejected_subs, options);
+        working, target, accepted_subs, rejected_subs, options, current);
     result.iteration_seconds.push_back(iteration_watch.seconds());
 
-    const bool accepted = step.accepted;
-    if (step.step.has_solution) {
-      if (accepted) {
-        // Pin the schedule: the request must run at exactly these times in
-        // all later iterations (its flexibility collapses).
-        working.mutable_request(target).set_temporal(step.start, step.end,
-                                                     req.duration());
-        accepted_subs.push_back(target);
-      }
-      last_good = step.step.solution;
-      last_good_mapping = sub_to_original;
-    }
-    if (!accepted) {
+    current.resize(static_cast<std::size_t>(target) + 1);
+    for (const int sub : step.embedded)
+      current[static_cast<std::size_t>(sub)] =
+          step.step.solution.requests[static_cast<std::size_t>(sub)];
+    if (step.accepted) {
+      // Pin the schedule: the request must run at exactly these times in
+      // all later iterations (its flexibility collapses).
+      working.mutable_request(target).set_temporal(step.start, step.end,
+                                                   req.duration());
+      accepted_subs.push_back(target);
+    } else {
       // Rejected requests still receive fixed times (Definition 2.1):
       // t^+ = t^s, t^- = t^s + d.
-      working.mutable_request(target).set_temporal(
-          req.earliest_start(), req.earliest_start() + req.duration(),
-          req.duration());
+      auto& emb = current[static_cast<std::size_t>(target)];
+      emb = core::RequestEmbedding{};
+      emb.start = req.earliest_start();
+      emb.end = req.earliest_start() + req.duration();
+      working.mutable_request(target).set_temporal(emb.start, emb.end,
+                                                   req.duration());
       rejected_subs.push_back(target);
     }
     if (step.step.status != mip::MipStatus::kOptimal) result.complete = false;
   }
 
-  // Assemble the final solution in original request order from the last
-  // successful step (it re-embeds every accepted request consistently).
+  // Assemble the final solution in original request order.
   result.solution.requests.resize(static_cast<std::size_t>(num_r));
   for (int r = 0; r < num_r; ++r) {
     auto& emb = result.solution.requests[static_cast<std::size_t>(r)];
@@ -168,11 +173,9 @@ GreedyResult solve_greedy(const net::TvnepInstance& instance,
     emb.start = instance.request(r).earliest_start();
     emb.end = emb.start + instance.request(r).duration();
   }
-  for (std::size_t sub = 0; sub < last_good_mapping.size(); ++sub) {
-    const int original = last_good_mapping[sub];
-    result.solution.requests[static_cast<std::size_t>(original)] =
-        last_good.requests[sub];
-  }
+  for (std::size_t sub = 0; sub < current.size(); ++sub)
+    result.solution.requests[static_cast<std::size_t>(sub_to_original[sub])] =
+        current[sub];
   result.accepted = result.solution.num_accepted();
   result.solution.objective = result.solution.revenue(instance);
   result.total_seconds = watch.seconds();

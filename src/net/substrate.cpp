@@ -1,5 +1,7 @@
 #include "net/substrate.hpp"
 
+#include <deque>
+
 #include "support/check.hpp"
 
 namespace tvnep::net {
@@ -58,6 +60,38 @@ std::string SubstrateNetwork::resource_name(int r) const {
   if (resource_is_node(r)) return "node:" + std::to_string(r);
   const auto& l = link(r - num_nodes());
   return "link:" + std::to_string(l.from) + "->" + std::to_string(l.to);
+}
+
+bool shortest_hop_path(const SubstrateNetwork& substrate, NodeId from,
+                       NodeId to, bool reverse,
+                       const std::function<bool(LinkId)>& usable,
+                       std::vector<LinkId>* path) {
+  path->clear();
+  if (from == to) return true;
+  std::vector<LinkId> via(static_cast<std::size_t>(substrate.num_nodes()), -1);
+  std::vector<char> seen(static_cast<std::size_t>(substrate.num_nodes()), 0);
+  std::deque<NodeId> frontier{from};
+  seen[static_cast<std::size_t>(from)] = 1;
+  while (!frontier.empty() && !seen[static_cast<std::size_t>(to)]) {
+    const NodeId node = frontier.front();
+    frontier.pop_front();
+    for (const LinkId e :
+         reverse ? substrate.in_links(node) : substrate.out_links(node)) {
+      const SubstrateLink& link = substrate.link(e);
+      const NodeId next = reverse ? link.from : link.to;
+      if (seen[static_cast<std::size_t>(next)] || !usable(e)) continue;
+      seen[static_cast<std::size_t>(next)] = 1;
+      via[static_cast<std::size_t>(next)] = e;
+      frontier.push_back(next);
+    }
+  }
+  if (!seen[static_cast<std::size_t>(to)]) return false;
+  for (NodeId node = to; node != from;) {
+    const LinkId e = via[static_cast<std::size_t>(node)];
+    path->push_back(e);
+    node = reverse ? substrate.link(e).to : substrate.link(e).from;
+  }
+  return true;
 }
 
 }  // namespace tvnep::net

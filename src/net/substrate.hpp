@@ -2,6 +2,7 @@
 // capacities (Table I of the paper).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,5 +55,14 @@ class SubstrateNetwork {
   std::vector<NodeData> nodes_;
   std::vector<SubstrateLink> links_;
 };
+
+/// Shortest-hop path from `from` to `to` over the links `usable` admits,
+/// by BFS in link order. With `reverse` the search follows links
+/// backwards, so the path found runs from `to` to `from`. Writes the link
+/// ids (empty when from == to) and returns false when `to` is unreachable.
+bool shortest_hop_path(const SubstrateNetwork& substrate, NodeId from,
+                       NodeId to, bool reverse,
+                       const std::function<bool(LinkId)>& usable,
+                       std::vector<LinkId>* path);
 
 }  // namespace tvnep::net

@@ -17,7 +17,7 @@ constexpr double kTimeTol = 1e-9;
 /// A client-supplied mapping comes straight off the wire: the parse layer
 /// only knows the request, not the substrate, so the engine is the first
 /// place the node ids can be bounds-checked. Rejecting here keeps both the
-/// step MIP (TvnepInstance::add_request would throw) and the fastpath
+/// step (TvnepInstance::add_request would throw) and the fastpath
 /// router (which indexes residual arrays with these ids) safe.
 bool mapping_valid(const RequestMessage& message, int substrate_nodes) {
   if (!message.mapping.has_value()) return true;
@@ -42,7 +42,7 @@ void AdmissionEngine::advance_now(double t_s,
   // Retire whole overlap-closure components, never single commits. An
   // ended commit (end <= now) cannot couple a *future candidate* — but it
   // can still share an instant with a live neighbor straddling now, and a
-  // later step MIP that re-embeds that neighbor must keep seeing the ended
+  // later step that re-embeds that neighbor must keep seeing the ended
   // commit's flows (batch greedy would). Only when an entire component has
   // ended can none of it constrain anything the engine will solve again.
   const std::size_t n = active_.size();
@@ -154,33 +154,40 @@ AdmitResult AdmissionEngine::admit_locked(const RequestMessage& message,
   // schedules (admission forced), plus the candidate as the greedy target.
   net::TvnepInstance working(substrate_, 0.0);
   std::vector<int> force_accept;
+  std::vector<core::RequestEmbedding> stored;
   for (std::size_t idx : component) {
     const Commit& c = active_[idx];
     net::VnetRequest pinned = c.original;
     pinned.set_temporal(c.start, c.end, pinned.duration());
     force_accept.push_back(working.add_request(std::move(pinned), c.mapping));
+    stored.push_back(c.embedding);
   }
   const int target = working.add_request(candidate, message.mapping);
   working.fit_horizon();
 
   const greedy::GreedyStepResult step = greedy::solve_greedy_step(
-      working, target, force_accept, {}, options_.greedy);
-  if (!step.step.has_solution) {
+      working, target, force_accept, {}, options_.greedy, stored);
+  if (!step.decided) {
     result.outcome = AdmitOutcome::kSolverFailed;
     return result;
   }
-
-  // Refresh the component's stored flows from the step solution — one
-  // jointly consistent allocation per component, and components never
-  // overlap in time, so the stored state stays globally consistent.
-  for (std::size_t k = 0; k < component.size(); ++k)
-    active_[component[k]].embedding =
-        step.step.solution.requests[static_cast<std::size_t>(k)];
-
+  // A reject keeps the stored flows: they are already one jointly
+  // feasible allocation of the unchanged component.
   if (!step.accepted) {
-    for (std::size_t idx : component) txn->refreshed.push_back(&active_[idx]);
     result.outcome = AdmitOutcome::kRejected;
     return result;
+  }
+
+  // Refresh the stored flows the step re-embedded — one jointly consistent
+  // allocation per component, and components never overlap in time, so
+  // the stored state stays globally consistent.
+  std::vector<std::size_t> refreshed;
+  for (const int k : step.embedded) {
+    if (k == target) continue;
+    const std::size_t idx = component[static_cast<std::size_t>(k)];
+    active_[idx].embedding =
+        step.step.solution.requests[static_cast<std::size_t>(k)];
+    refreshed.push_back(idx);
   }
 
   Commit commit;
@@ -194,7 +201,7 @@ AdmitResult AdmissionEngine::admit_locked(const RequestMessage& message,
       step.step.solution.requests[static_cast<std::size_t>(target)];
   active_.push_back(std::move(commit));
   // Pointers only after the push_back: it may reallocate active_.
-  for (std::size_t idx : component) txn->refreshed.push_back(&active_[idx]);
+  for (std::size_t idx : refreshed) txn->refreshed.push_back(&active_[idx]);
   txn->commit = &active_.back();
   ++version_;
   ++accepted_total_;

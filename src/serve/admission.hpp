@@ -6,9 +6,9 @@
 // couple requests whose active intervals [start, end) intersect. The
 // transitive closure of that interval-overlap relation partitions the
 // committed set into components that are pairwise temporally disjoint —
-// a step MIP restricted to the component(s) a candidate's window touches
+// a step restricted to the component(s) a candidate's window touches
 // therefore has exactly the same feasible target schedules as the full
-// batch step MIP, and the greedy step objective (Eq. 21) is invariant in
+// batch step, and the greedy step objective (Eq. 21) is invariant in
 // the horizon T, so the restricted solve commits the identical outcome
 // (accept decision, start, end). Rejected requests consume nothing
 // (Definition 2.1) and are dropped entirely. A component whose *latest*
@@ -17,13 +17,22 @@
 // wholesale — that garbage collection is what bounds per-admission work
 // at 100x-1000x scale. Retirement is per component, never per commit: an
 // ended commit that still overlaps a live neighbor keeps constraining the
-// neighbor's re-embeddings and must stay in future step MIPs.
+// neighbor's re-embeddings and must stay in future steps.
+//
+// The step itself is greedy::solve_greedy_step: with fixed mappings a
+// breakpoint walk of link-flow LPs over the component (greedy.hpp), which
+// is handed the stored flows and re-routes the component only when the
+// candidate does not fit around them; else the cΣ step MIP. The engine
+// and batch greedy both reach it through the same call, so online ==
+// batch holds by construction.
 //
 // Flows: link allocations are never frozen (the paper recomputes them each
 // greedy iteration). The engine stores the *latest jointly consistent*
-// embedding per commit — refreshed from every step/reopt solution that
-// covers it — which is what the fastpath router prices its residual
-// capacities against, and what the tests validate with validate_solution.
+// embedding per commit — refreshed from every accepting step that
+// re-embeds it and every reopt install — which is what the fastpath prices
+// its residual capacities against, and what the tests validate with
+// validate_solution. A reject changes no flow: the stored ones are
+// already a joint allocation of the unchanged component.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +50,9 @@
 namespace tvnep::serve {
 
 struct AdmissionOptions {
-  /// Step-MIP options (time limit, cuts, solver knobs, cancel seam).
+  /// Step options (time budget, MIP knobs for unmapped steps, cancel seam).
   greedy::GreedyOptions greedy;
-  /// Upper bound on requests in one step MIP (component + target); a
+  /// Upper bound on requests in one step (component + target); a
   /// larger component reports kComponentTooLarge so the caller can shed
   /// to the fastpath. 0 disables the cap.
   int max_step_requests = 64;
@@ -70,10 +79,11 @@ struct Commit {
 
 enum class AdmitOutcome {
   kAccepted,
-  kRejected,           // step MIP proved no feasible embedding
+  kRejected,           // no candidate start is feasible
   kWindowClosed,       // t^e - d below the virtual now: can no longer start
   kComponentTooLarge,  // over max_step_requests — shed to fastpath
-  kSolverFailed,       // step MIP returned no incumbent (time limit/cancel)
+  kSolverFailed,       // step budget ran out (or cancel), or the MIP path
+                       // (unmapped requests) returned no incumbent
   kInvalidMapping,     // mapping node ids outside the substrate — terminal
 };
 
@@ -81,7 +91,7 @@ struct AdmitResult {
   AdmitOutcome outcome = AdmitOutcome::kRejected;
   double start = 0.0;
   double end = 0.0;
-  /// Committed requests included in the step MIP (exact path only).
+  /// Committed requests included in the step (exact path only).
   int component_size = 0;
 };
 
@@ -97,13 +107,13 @@ class AdmissionEngine {
  public:
   AdmissionEngine(net::SubstrateNetwork substrate, AdmissionOptions options);
 
-  /// Exact admission: the batch-greedy step MIP over the candidate's
+  /// Exact admission: the batch-greedy step over the candidate's
   /// overlap-closure component. Thread-safe; solves under the engine lock
   /// (the daemon admits from a single worker).
   AdmitResult admit(const RequestMessage& message);
 
   /// Shed path: cheapest-feasible single-path routing against the stored
-  /// residual capacities; no MIP. Never reroutes existing flows.
+  /// residual capacities; no LP. Never reroutes existing flows.
   AdmitResult admit_fastpath(const RequestMessage& message);
 
   /// Virtual now: the maximum earliest start seen so far.
@@ -214,10 +224,9 @@ class AdmissionEngine {
 
 /// One engine state change, as seen by the StateSink while the engine
 /// lock is held. A kDecision is emitted for *every* admit/fastpath call —
-/// rejects included, because a reject can advance the virtual now, retire
-/// a component, and refresh the component's stored flows (which the
-/// fastpath then prices against); replay must reproduce all of it for
-/// byte-identical recovery. A kInstall mirrors a successful try_install.
+/// rejects included, because a reject can advance the virtual now and
+/// retire a component; replay must reproduce all of it for byte-identical
+/// recovery. A kInstall mirrors a successful try_install.
 struct StateTransition {
   enum class Kind { kDecision, kInstall };
   Kind kind = Kind::kDecision;
@@ -230,8 +239,8 @@ struct StateTransition {
   const Commit* commit = nullptr;
   /// Seqs garbage-collected by this call's now-advance, retirement order.
   std::vector<std::uint64_t> retired;
-  /// Component commits whose stored flows the step solve refreshed
-  /// (exact path; populated on rejects too).
+  /// Component commits whose stored flows the step re-embedded (exact
+  /// path accepts only).
   std::vector<const Commit*> refreshed;
 
   // ----- kInstall -----

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 namespace tvnep::serve {
@@ -117,32 +116,18 @@ bool route_link(const net::SubstrateNetwork& substrate, int from, int to,
                 double demand, Residuals* residuals,
                 std::vector<double>* flow) {
   if (from == to || demand <= 0.0) return true;  // co-located or zero demand
-  std::vector<int> via_link(static_cast<std::size_t>(substrate.num_nodes()),
-                            -1);
-  std::vector<char> seen(static_cast<std::size_t>(substrate.num_nodes()), 0);
-  std::deque<int> frontier;
-  frontier.push_back(from);
-  seen[static_cast<std::size_t>(from)] = 1;
-  while (!frontier.empty()) {
-    const int node = frontier.front();
-    frontier.pop_front();
-    if (node == to) break;
-    for (int e : substrate.out_links(node)) {
-      const net::SubstrateLink& link = substrate.link(e);
-      if (seen[static_cast<std::size_t>(link.to)]) continue;
-      if (residuals->link[static_cast<std::size_t>(e)] + kCapTol < demand)
-        continue;
-      seen[static_cast<std::size_t>(link.to)] = 1;
-      via_link[static_cast<std::size_t>(link.to)] = e;
-      frontier.push_back(link.to);
-    }
-  }
-  if (!seen[static_cast<std::size_t>(to)]) return false;
-  for (int node = to; node != from;) {
-    const int e = via_link[static_cast<std::size_t>(node)];
+  std::vector<net::LinkId> path;
+  if (!net::shortest_hop_path(
+          substrate, from, to, /*reverse=*/false,
+          [&](net::LinkId e) {
+            return residuals->link[static_cast<std::size_t>(e)] + kCapTol >=
+                   demand;
+          },
+          &path))
+    return false;
+  for (const net::LinkId e : path) {
     residuals->link[static_cast<std::size_t>(e)] -= demand;
     (*flow)[static_cast<std::size_t>(e)] = 1.0;
-    node = substrate.link(e).from;
   }
   return true;
 }

@@ -278,12 +278,12 @@ TEST(CutValidity, GreedyStepWithPinnedFractionalTimes) {
   without_cuts.mip.cut_rounds = 0;
   without_cuts.mip.rc_fixing = false;
   const greedy::GreedyStepResult plain =
-      greedy::solve_greedy_step(working, target, force_accept, {},
-                                without_cuts);
+      greedy::solve_greedy_step_mip(working, target, force_accept, {},
+                                    without_cuts);
   ASSERT_TRUE(plain.step.has_solution);
 
   const greedy::GreedyStepResult with_cuts =
-      greedy::solve_greedy_step(working, target, force_accept, {}, {});
+      greedy::solve_greedy_step_mip(working, target, force_accept, {}, {});
   ASSERT_TRUE(with_cuts.step.has_solution);
   EXPECT_EQ(with_cuts.accepted, plain.accepted);
   EXPECT_NEAR(with_cuts.step.objective, plain.step.objective, 1e-6);

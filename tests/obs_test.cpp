@@ -4,9 +4,10 @@
 // (scripts/tier1.sh) — they hammer the thread-local shards from
 // parallel_for workers and assert the merged totals are exact.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -37,6 +38,25 @@ class ObsFixture : public ::testing::Test {
 
 using ObsConcurrentTest = ObsFixture;
 using ObsTest = ObsFixture;
+
+// ctest runs every test case as its own process in one shared working
+// directory, so a fixed file name there races under `ctest -j`. Each
+// process writes into its own directory instead.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "tvnep_obs_XXXXXX").string();
+    const char* made = ::mkdtemp(tmpl.data());
+    EXPECT_NE(made, nullptr);
+    path = made == nullptr ? tmpl : made;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  std::string file(const std::string& name) const { return path + "/" + name; }
+};
 
 TEST_F(ObsConcurrentTest, CountersMergeExactlyAcrossWorkers) {
   obs::Metrics::instance().start();
@@ -122,7 +142,8 @@ TEST_F(ObsConcurrentTest, SpansRecordOncePerWorkerItem) {
 }
 
 TEST_F(ObsConcurrentTest, TreeLogSerializesConcurrentWriters) {
-  const std::string path = "obs_test_tree_log.jsonl";
+  const TempDir dir;
+  const std::string path = dir.file("obs_test_tree_log.jsonl");
   {
     obs::TreeLog log(path);
     ASSERT_TRUE(log.ok());
@@ -151,7 +172,6 @@ TEST_F(ObsConcurrentTest, TreeLogSerializesConcurrentWriters) {
     }
     EXPECT_EQ(lines, kRecords);
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(ObsTest, InactiveSubsystemsRecordNothing) {
@@ -231,7 +251,8 @@ TEST_F(ObsTest, MetricsJsonRoundTripsThroughFile) {
   obs::gauge_set("test.level", 0.5);
   obs::histogram_observe("test.h", 2.0);
   obs::Metrics::instance().stop();
-  const std::string path = "obs_test_metrics.json";
+  const TempDir dir;
+  const std::string path = dir.file("obs_test_metrics.json");
   ASSERT_TRUE(obs::Metrics::instance().write_json(path));
   std::ifstream in(path);
   std::stringstream buffer;
@@ -240,7 +261,6 @@ TEST_F(ObsTest, MetricsJsonRoundTripsThroughFile) {
   EXPECT_NE(text.find("\"test.count\""), std::string::npos);
   EXPECT_NE(text.find("\"test.level\""), std::string::npos);
   EXPECT_NE(text.find("\"test.h\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // exactly one schema-conforming record per processed branch-and-bound
 // node with a monotone global bound.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -178,6 +180,25 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
+// ctest runs every test case as its own process in one shared working
+// directory, so a fixed file name there races under `ctest -j`. Each
+// process writes into its own directory instead.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "tvnep_obs_XXXXXX").string();
+    const char* made = ::mkdtemp(tmpl.data());
+    EXPECT_NE(made, nullptr);
+    path = made == nullptr ? tmpl : made;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  std::string file(const std::string& name) const { return path + "/" + name; }
+};
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   std::stringstream buffer;
@@ -195,9 +216,10 @@ struct SolvedFixture {
 
   static SolvedFixture run() {
     SolvedFixture out;
-    const std::string tree_path = "obs_golden_tree.jsonl";
-    const std::string trace_path = "obs_golden_trace.json";
-    const std::string trace_jsonl_path = "obs_golden_trace.jsonl";
+    const TempDir dir;
+    const std::string tree_path = dir.file("obs_golden_tree.jsonl");
+    const std::string trace_path = dir.file("obs_golden_trace.json");
+    const std::string trace_jsonl_path = dir.file("obs_golden_trace.jsonl");
 
     workload::WorkloadParams params;
     params.grid_rows = 2;
@@ -232,9 +254,6 @@ struct SolvedFixture {
     std::ifstream tree(tree_path);
     std::string line;
     while (std::getline(tree, line)) out.tree_lines.push_back(line);
-    std::remove(tree_path.c_str());
-    std::remove(trace_path.c_str());
-    std::remove(trace_jsonl_path.c_str());
     return out;
   }
 };
@@ -398,7 +417,8 @@ TEST(ObsTraceGolden, MinimizationBoundIsNonDecreasing) {
   model.add_constr(cover >= 3.0);
   model.set_objective(mip::Sense::kMinimize, cost);
 
-  const std::string path = "obs_golden_min_tree.jsonl";
+  const TempDir dir;
+  const std::string path = dir.file("obs_golden_min_tree.jsonl");
   {
     obs::TreeLog log(path);
     mip::MipOptions options;
@@ -427,7 +447,6 @@ TEST(ObsTraceGolden, MinimizationBoundIsNonDecreasing) {
       prev = bound->number;
     }
   }
-  std::remove(path.c_str());
   EXPECT_GT(records, 0u);
 }
 

@@ -4,6 +4,8 @@
 //  * frozen requests: once committed, a schedule never changes from later
 //    insertions (and only moves through a reopt install before start);
 //  * component GC does not change outcomes (the retirement argument);
+//  * a reject keeps the component's stored flows; a spent step budget
+//    is kSolverFailed;
 //  * fastpath and mixed-mode commit states pass the independent
 //    continuous-time validator;
 //  * the reoptimizer strictly improves a crafted scenario and refuses to
@@ -18,6 +20,7 @@
 #include "greedy/greedy.hpp"
 #include "net/topology.hpp"
 #include "serve/reoptimizer.hpp"
+#include "serve/wal.hpp"
 #include "tvnep/solution.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
@@ -231,6 +234,93 @@ TEST(ServeAdmission, RejectsMappingsOutsideTheSubstrate) {
   // The invalid request consumed nothing and the engine still works.
   bad.mapping = std::vector<net::NodeId>{0};
   EXPECT_EQ(engine.admit(bad).outcome, AdmitOutcome::kAccepted);
+}
+
+// A - B over one link each way, capacity 1: two link-demand-1 requests on
+// A→B cannot share time.
+net::SubstrateNetwork two_node_line() {
+  net::SubstrateNetwork s;
+  s.add_node(4.0);
+  s.add_node(4.0);
+  s.add_link(0, 1, 1.0);
+  s.add_link(1, 0, 1.0);
+  return s;
+}
+
+RequestMessage link_message(const std::string& id, double t_s, double t_e,
+                            double d, std::vector<net::NodeId> mapping) {
+  RequestMessage message;
+  message.id = id;
+  net::VnetRequest r(id);
+  r.add_node(1.0);
+  r.add_node(1.0);
+  r.add_link(0, 1, 1.0);
+  r.set_temporal(t_s, t_e, d);
+  message.request = r;
+  message.mapping = std::move(mapping);
+  return message;
+}
+
+TEST(ServeAdmission, RejectKeepsTheComponentsStoredFlows) {
+  // No candidate start fits, so the step rejects without re-embedding:
+  // the stored flows are already a joint allocation of the component.
+  AdmissionEngine engine(two_node_line(), {});
+  ASSERT_EQ(engine.admit(link_message("P", 0.0, 4.0, 4.0, {0, 1})).outcome,
+            AdmitOutcome::kAccepted);
+  const std::vector<double> stored = engine.history()[0].embedding.link_flow;
+
+  std::vector<std::size_t> refreshed;
+  engine.set_state_sink([&](const StateTransition& txn) {
+    refreshed.push_back(txn.refreshed.size());
+  });
+  EXPECT_EQ(engine.admit(link_message("T", 1.0, 5.0, 2.0, {0, 1})).outcome,
+            AdmitOutcome::kRejected);
+  // An accept that fits in the room the stored flows leave keeps them too.
+  const AdmitResult later =
+      engine.admit(link_message("U", 1.0, 10.0, 2.0, {0, 1}));
+  ASSERT_EQ(later.outcome, AdmitOutcome::kAccepted);
+  EXPECT_DOUBLE_EQ(later.start, 4.0);
+  EXPECT_EQ(refreshed, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(engine.history()[0].embedding.link_flow, stored);
+}
+
+TEST(ServeAdmission, AcceptReroutesTheComponentWhenStoredFlowsLeaveNoRoom) {
+  // A→C direct or via B, every link capacity 1. Q takes the direct link,
+  // so P, overlapping Q, goes via B. T needs A→B while P runs: T alone
+  // does not fit around P's stored route, but moving P to the direct
+  // link (and Q via B) fits all three, so the step re-embeds both.
+  net::SubstrateNetwork s;
+  for (int n = 0; n < 3; ++n) s.add_node(4.0);
+  s.add_link(0, 2, 1.0);
+  s.add_link(0, 1, 1.0);
+  s.add_link(1, 2, 1.0);
+  AdmissionEngine engine(s, {});
+  ASSERT_EQ(engine.admit(link_message("Q", 0.0, 2.0, 2.0, {0, 2})).outcome,
+            AdmitOutcome::kAccepted);
+  ASSERT_EQ(engine.admit(link_message("P", 1.0, 5.0, 4.0, {0, 2})).outcome,
+            AdmitOutcome::kAccepted);
+
+  std::vector<std::size_t> refreshed;
+  engine.set_state_sink([&](const StateTransition& txn) {
+    refreshed.push_back(txn.refreshed.size());
+  });
+  const AdmitResult t = engine.admit(link_message("T", 3.0, 10.0, 2.0, {0, 1}));
+  ASSERT_EQ(t.outcome, AdmitOutcome::kAccepted);
+  EXPECT_DOUBLE_EQ(t.start, 3.0);
+  EXPECT_EQ(refreshed, (std::vector<std::size_t>{2}));
+  const AdmissionEngine::Snapshot state = engine.snapshot_full();
+  const core::ValidationResult valid =
+      validate_commit_state(s, state.commits, state.retired);
+  EXPECT_TRUE(valid.ok) << (valid.errors.empty() ? "" : valid.errors.front());
+}
+
+TEST(ServeAdmission, ExhaustedStepBudgetIsSolverFailed) {
+  AdmissionOptions options;
+  options.greedy.per_iteration_time_limit = 1e-12;
+  AdmissionEngine engine(two_node_line(), options);
+  EXPECT_EQ(engine.admit(link_message("P", 0.0, 4.0, 4.0, {0, 1})).outcome,
+            AdmitOutcome::kSolverFailed);
+  EXPECT_EQ(engine.accepted_total(), 0u);
 }
 
 // ----- reoptimizer: crafted strict-improvement scenario -----
