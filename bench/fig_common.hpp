@@ -252,7 +252,7 @@ inline void save_outcomes_csv(const std::string& path,
        << ',' << r.refactorizations << ',' << r.numerical_drops << ','
        << r.lp_recoveries
        << ',' << r.basis_updates << ',' << r.lp_basis_fill_max
-       << ',' << r.cuts_added << ',' << r.cut_rounds << ',' << r.rc_fixed
+       << ',' << r.rc_fixed
        << ',' << r.model_vars << ',' << r.model_constraints << ','
        << r.model_integer_vars << ',' << r.presolve_rows_removed << ','
        << r.presolve_cols_removed << ',' << r.presolve_coeffs_tightened << ','
@@ -268,7 +268,7 @@ inline void save_outcomes_csv(const std::string& path,
          "solve_seconds,wall_seconds,nodes,lp_pivots,lp_iterations,"
          "dual_fallbacks,refactorizations,numerical_drops,lp_recoveries,"
          "basis_updates,basis_fill,"
-         "cuts_added,cut_rounds,rc_fixed,"
+         "rc_fixed,"
          "model_vars,model_constraints,model_integer_vars,"
          "presolve_rows_removed,presolve_cols_removed,"
          "presolve_coeffs_tightened,presolve_bounds_tightened,"

@@ -212,53 +212,6 @@ BENCHMARK(BM_CSigmaSolve)
     ->Args({3, 1})
     ->Unit(benchmark::kMillisecond);
 
-// The root-cut + reduced-cost-fixing ablation pair on the fig3 hard cell
-// (cΣ, 2×3 grid, 4 requests, 3 h flexibility): Args {seed, 0} strips the
-// cutting-plane loop and rc fixing, Args {seed, 1} is the default
-// configuration. Counters expose nodes/cuts/rc-fixed so the node-count
-// reduction the cuts buy is visible next to the wall-clock delta; the
-// objectives of both variants must match (the cut-validity tests pin
-// that invariant).
-void BM_CSigmaSolveCuts(benchmark::State& state) {
-  workload::WorkloadParams params;
-  params.grid_rows = 2;
-  params.grid_cols = 3;
-  params.star_leaves = 2;
-  params.num_requests = 4;
-  params.seed = static_cast<unsigned>(state.range(0));
-  params.flexibility = 3.0;
-  const net::TvnepInstance instance = workload::generate_workload(params);
-  const auto formulation =
-      core::build_formulation(instance, core::ModelKind::kCSigma, {});
-
-  mip::MipOptions options;
-  const bool cuts = state.range(1) != 0;
-  if (!cuts) options.cut_rounds = 0;
-  options.rc_fixing = cuts;
-  long nodes = 0, cuts_added = 0, rc_fixed = 0;
-  double objective = 0.0;
-  for (auto _ : state) {
-    mip::MipSolver solver(options);
-    const mip::MipResult r = solver.solve(formulation->model());
-    benchmark::DoNotOptimize(r.objective);
-    nodes = r.nodes;
-    cuts_added = r.cuts_added;
-    rc_fixed = r.rc_fixed;
-    objective = r.objective;
-  }
-  state.counters["nodes"] = static_cast<double>(nodes);
-  state.counters["cuts"] = static_cast<double>(cuts_added);
-  state.counters["rc_fixed"] = static_cast<double>(rc_fixed);
-  state.counters["objective"] = objective;
-}
-BENCHMARK(BM_CSigmaSolveCuts)
-    ->ArgNames({"seed", "cuts"})
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
-
 // The numerical-resilience overhead pair (ISSUE acceptance: scaling +
 // recovery ladder <= 5% on clean instances). Arg 0 strips the resilience
 // layer (no equilibration, no recovery ladder), arg 1 is the default

@@ -333,29 +333,40 @@ std::unique_ptr<SweepJournal> SweepJournal::resume(const std::string& path,
 
   // Collect lines first so "is this the final line?" is known when a
   // parse fails — only the torn last record of a crashed append may be
-  // dropped; corruption anywhere else must surface.
+  // dropped; corruption anywhere else must surface. getline sets eof only
+  // when a line ends without its newline.
   std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
+  bool last_terminated = true;
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+    last_terminated = !in.eof();
+  }
   if (in.bad()) throw ParseError(path, 0, 0, "I/O error reading journal");
   in.close();
 
   for (std::size_t i = 0; i < lines.size(); ++i) {
     ++line_number;
     if (lines[i].empty()) continue;
+    const bool last = i + 1 == lines.size();
     std::map<std::string, JournalValue> scalars;
     std::map<std::string, std::map<std::string, JournalValue>> objects;
+    bool parsed = true;
     try {
       JsonLineParser(path, line_number, lines[i])
           .parse_record(&scalars, &objects);
     } catch (const ParseError&) {
-      if (i + 1 == lines.size()) {
-        // Torn final line: the append in flight when the process died.
-        std::cerr << "journal: dropping torn final record at " << path << ":"
-                  << line_number << '\n';
-        torn = true;
-        break;
-      }
-      throw;
+      if (!last) throw;
+      parsed = false;
+    }
+    // Torn final line: the append in flight when the process died. A
+    // record that parses but lacks its newline is torn too (the crash fell
+    // between the record bytes and the newline); keeping it would glue the
+    // next append onto it.
+    if (!parsed || (header_seen && last && !last_terminated)) {
+      std::cerr << "journal: dropping torn final record at " << path << ":"
+                << line_number << '\n';
+      torn = true;
+      break;
     }
 
     if (!header_seen) {

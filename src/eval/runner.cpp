@@ -53,8 +53,6 @@ SweepConfig sweep_from_args(const Args& args, int default_requests,
     config.flexibilities.push_back(f);
 
   config.presolve = !args.get_bool("no-presolve", false);
-  config.mip_cuts = !args.get_bool("no-cuts", false);
-  config.rc_fixing = !args.get_bool("no-rc-fixing", false);
   config.lp_scaling = !args.get_bool("no-lp-scaling", false);
   const std::string basis = args.get_string("basis", "sparse");
   if (basis == "sparse") config.lp_basis = lp::BasisBackend::kSparseLu;
@@ -339,8 +337,6 @@ CellRecord encode_outcome(const std::string& label, std::size_t flex_index,
       JournalValue(static_cast<double>(r.lp_recoveries));
   fields["numerical_drops"] =
       JournalValue(static_cast<double>(r.numerical_drops));
-  fields["cuts_added"] = JournalValue(static_cast<double>(r.cuts_added));
-  fields["cut_rounds"] = JournalValue(static_cast<double>(r.cut_rounds));
   fields["rc_fixed"] = JournalValue(static_cast<double>(r.rc_fixed));
   fields["model_vars"] = JournalValue(static_cast<double>(r.model_vars));
   fields["model_constraints"] =
@@ -394,10 +390,8 @@ bool decode_outcome(const CellRecord& record, ScenarioOutcome& outcome) {
   r.lp_basis_fill_max = record.number("basis_fill", 0.0);
   r.lp_recoveries = static_cast<long>(record.number("lp_recoveries"));
   r.numerical_drops = static_cast<long>(record.number("numerical_drops"));
-  // Absent in journals written before the cut/rc-fixing telemetry existed;
-  // the fallbacks keep those records decodable on --resume.
-  r.cuts_added = static_cast<long>(record.number("cuts_added", 0.0));
-  r.cut_rounds = static_cast<long>(record.number("cut_rounds", 0.0));
+  // Absent in journals written before the rc-fixing telemetry existed; the
+  // fallback keeps those records decodable on --resume.
   r.rc_fixed = static_cast<long>(record.number("rc_fixed", 0.0));
   r.model_vars = static_cast<int>(record.number("model_vars"));
   r.model_constraints = static_cast<int>(record.number("model_constraints"));
@@ -488,8 +482,6 @@ std::vector<ScenarioOutcome> run_model_sweep(
         // Retry-ladder tightening: the final rung drops presolve so a
         // transform-triggered numerical issue cannot recur.
         solve_params.mip.presolve = config.presolve && attempt < 2;
-        if (!config.mip_cuts) solve_params.mip.cut_rounds = 0;
-        solve_params.mip.rc_fixing = config.rc_fixing;
         solve_params.mip.cancel = cancel;
         apply_lp_resilience(config, solve_params.mip.lp, attempt);
         if (obs::TreeLog::global() != nullptr)
@@ -537,8 +529,6 @@ std::vector<GreedyOutcome> run_greedy_sweep(
         options.dependency_cuts = config.build.dependency_cuts;
         options.per_iteration_time_limit = config.time_limit;
         options.mip.presolve = config.presolve && attempt < 2;
-        if (!config.mip_cuts) options.mip.cut_rounds = 0;
-        options.mip.rc_fixing = config.rc_fixing;
         options.mip.cancel = cancel;
         apply_lp_resilience(config, options.mip.lp, attempt);
         if (obs::TreeLog::global() != nullptr)

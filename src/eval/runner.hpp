@@ -47,11 +47,6 @@ struct SweepConfig {
   double time_limit = 10.0;             // per solve, seconds
   int threads = 0;                      // workers; 0 → hardware_parallelism()
   bool presolve = true;                 // MIP presolve (`--no-presolve`)
-  // Root cutting-plane loop (`--no-cuts` zeroes MipOptions::cut_rounds)
-  // and reduced-cost fixing (`--no-rc-fixing`). CI's cut-equivalence leg
-  // runs fig3 with and without cuts and diffs the objective/gap columns.
-  bool mip_cuts = true;
-  bool rc_fixing = true;
   bool lp_scaling = true;               // LP equilibration (`--no-lp-scaling`)
   // LP basis backend (`--basis sparse|dense`) and primal pricing rule
   // (`--pricing partial|dantzig|devex`) for every cell's node LPs. CI's
@@ -100,7 +95,6 @@ struct SweepConfig {
 ///   --requests N --grid-rows R --grid-cols C --leaves L --seeds S
 ///   --time-limit SEC --flex-max HOURS --flex-step HOURS --threads N
 ///   --no-dependency-cuts --no-pairwise-cuts --no-presolve --paper-scale
-///   --no-cuts --no-rc-fixing
 ///   --no-lp-scaling --lp-fault-period N --lp-fault-burst B
 ///   --cell-timeout SEC --cell-retries N
 ///   --basis sparse|dense --pricing partial|dantzig|devex

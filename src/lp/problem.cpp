@@ -42,16 +42,6 @@ void Problem::finalize() {
   finalized_ = true;
 }
 
-void Problem::reopen() {
-  TVNEP_REQUIRE(finalized_, "reopen() before finalize()");
-  // Recover the triplets finalize() dropped from the frozen matrix.
-  entries_.clear();
-  for (int r = 0; r < num_rows(); ++r)
-    for (const auto& entry : matrix_.row(r))
-      entries_.emplace_back(r, entry.index, entry.value);
-  finalized_ = false;
-}
-
 const linalg::SparseMatrix& Problem::matrix() const {
   TVNEP_REQUIRE(finalized_, "matrix() before finalize()");
   return matrix_;

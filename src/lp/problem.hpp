@@ -59,16 +59,9 @@ class Problem {
   void set_cost(int j, double cost);
 
   /// Builds the immutable matrix; must be called before matrix() and after
-  /// the last add_row(). Calling it twice without an intervening reopen()
-  /// is an error.
+  /// the last add_row(). Calling it twice is an error.
   void finalize();
   bool finalized() const { return finalized_; }
-
-  /// Reopens a finalized problem so more rows can be appended (the root
-  /// cut loop grows the LP by cut rows between rounds). Existing rows and
-  /// entries are preserved; finalize() must be called again before
-  /// matrix().
-  void reopen();
 
   const linalg::SparseMatrix& matrix() const;
 

@@ -1100,53 +1100,12 @@ VarStatus Simplex::variable_status(int v) const {
   return status_[static_cast<std::size_t>(v)];
 }
 
-int Simplex::basic_variable(int i) const {
-  TVNEP_REQUIRE(i >= 0 && i < num_rows(), "basic_variable: bad row");
-  return basis_[static_cast<std::size_t>(i)];
-}
-
-double Simplex::variable_value(int v) const {
-  TVNEP_REQUIRE(v >= 0 && v < num_vars(), "variable_value: bad variable");
-  // Scaled slack is s~ = R s, scaled structural is x~ = x / C.
-  if (is_slack(v))
-    return x_[static_cast<std::size_t>(v)] / row_scale(v - num_structural());
-  return x_[static_cast<std::size_t>(v)] * col_scale(v);
-}
-
 double Simplex::reduced_cost(int j) const {
   TVNEP_REQUIRE(j >= 0 && j < num_structural(), "reduced_cost: bad column");
   TVNEP_REQUIRE(duals_.size() == static_cast<std::size_t>(num_rows()),
                 "reduced_cost: no duals (solve first)");
   // d~_j = c~_j - y~.A~_j in scaled space; x~ = x / C gives d = d~ / C.
   return (struct_cost(j) - column_dot(j, duals_)) / col_scale(j);
-}
-
-bool Simplex::tableau_row(int i, std::vector<double>* coeffs) const {
-  TVNEP_REQUIRE(i >= 0 && i < num_rows(), "tableau_row: bad row");
-  TVNEP_REQUIRE(coeffs != nullptr, "tableau_row: null output");
-  if (!has_basis_ || !factor_valid_) return false;
-  const int n = num_structural();
-  const int total = num_vars();
-  // rho = B^-T e_i, then tableau entry a_iv = rho . A_v per column.
-  std::vector<double> rho(static_cast<std::size_t>(num_rows()), 0.0);
-  rho[static_cast<std::size_t>(i)] = 1.0;
-  factor_->btran(rho);
-  coeffs->assign(static_cast<std::size_t>(total), 0.0);
-  for (int v = 0; v < total; ++v) {
-    const double scaled = column_dot(v, rho);
-    if (scaled == 0.0) continue;
-    // Undo equilibration: the scaled system is [R·A·C | -I](x/C, R·s) = 0,
-    // so a structural coefficient divides by C_j and a slack one multiplies
-    // by R_k to express the row over the original variables.
-    (*coeffs)[static_cast<std::size_t>(v)] =
-        is_slack(v) ? scaled * row_scale(v - n) : scaled / col_scale(v);
-  }
-  const double pivot =
-      (*coeffs)[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
-  if (std::fabs(pivot) < 1e-12) return false;
-  if (pivot != 1.0)
-    for (double& c : *coeffs) c /= pivot;
-  return true;
 }
 
 std::vector<double> Simplex::primal_solution() const {

@@ -209,34 +209,18 @@ class Simplex {
   /// All structural values (length = problem.num_columns()).
   std::vector<double> primal_solution() const;
 
-  // --- Basis introspection (cut separation, reduced-cost fixing) --------
+  // --- Basis introspection (reduced-cost fixing) ------------------------
   // The full system appends one slack per row after the structural
   // columns: variable v < num_columns() is structural, otherwise the slack
-  // of row v - num_columns(). All results are in the caller's original
-  // units and are meaningful only after an optimal solve() while the basis
-  // is unchanged.
-
-  /// Full-system variable count (structural columns + one slack per row).
-  int num_total_vars() const { return num_vars(); }
+  // of row v - num_columns(). Results are meaningful only after an optimal
+  // solve() while the basis is unchanged.
 
   /// Status of full-system variable v relative to the current basis.
   VarStatus variable_status(int v) const;
 
-  /// Full-system index of the variable basic in tableau row i.
-  int basic_variable(int i) const;
-
-  /// Current value of full-system variable v (row activity for a slack).
-  double variable_value(int v) const;
-
   /// Reduced cost d_j = c_j - y.A_j of structural column j; valid after an
   /// optimal solve (duals of the final basis).
   double reduced_cost(int j) const;
-
-  /// Extracts tableau row i of the full system, e_i^T B^-1 [A | -I],
-  /// normalized so the basic variable's coefficient is exactly 1 (the
-  /// normalization divides by a power-of-two scale factor, so it is
-  /// lossless). Returns false when no usable factorized basis exists.
-  bool tableau_row(int i, std::vector<double>* coeffs) const;
 
   const SolveStats& stats() const { return stats_; }
 

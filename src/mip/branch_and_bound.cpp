@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <queue>
 
 #include "obs/metrics.hpp"
@@ -50,12 +49,8 @@ namespace {
 
 // Row/bound/integrality check against an already-lowered problem (avoids
 // re-running Model::to_lp on every incumbent candidate).
-// `row_limit` restricts the row scan (the tree passes the base-row count
-// so appended cut rows — implied by the base rows for every integer point
-// — cannot reject an incumbent through floating-point noise); -1 → all.
 bool check_feasible(const Model& model, const lp::Problem& problem,
-                    const std::vector<double>& values, double tol,
-                    int row_limit = -1) {
+                    const std::vector<double>& values, double tol) {
   if (values.size() != static_cast<std::size_t>(model.num_vars())) return false;
   for (int j = 0; j < model.num_vars(); ++j) {
     const Var v{j};
@@ -67,8 +62,7 @@ bool check_feasible(const Model& model, const lp::Problem& problem,
       return false;
   }
   const auto& matrix = problem.matrix();
-  const int rows = row_limit >= 0 ? row_limit : problem.num_rows();
-  for (int i = 0; i < rows; ++i) {
+  for (int i = 0; i < problem.num_rows(); ++i) {
     double activity = 0.0;
     double scale = 1.0;
     for (const auto& entry : matrix.row(i)) {
@@ -204,18 +198,13 @@ MipResult MipSolver::solve_tree(
   MipResult result;
 
   std::vector<bool> is_int;
-  lp::Problem problem = model.to_lp(&is_int);
-  // Rows 0..base_rows-1 are the model's own; the root cut loop appends cut
-  // rows after them. Incumbent validation and partition detection only
-  // ever look at the base rows (a cut is implied by them, and checking it
-  // with floating-point noise could reject a genuinely feasible point).
-  const int base_rows = problem.num_rows();
+  const lp::Problem problem = model.to_lp(&is_int);
   // The MIP-level soft-cancel seam reaches into every node LP so a cancel
   // fired mid-LP takes effect within one polling interval, not one node.
   lp::SimplexOptions lp_options = options_.lp;
   if (options_.cancel != nullptr && lp_options.cancel == nullptr)
     lp_options.cancel = options_.cancel;
-  auto simplex = std::make_unique<lp::Simplex>(problem, lp_options);
+  lp::Simplex simplex(problem, lp_options);
 
   obs::SpanScope tree_span(
       obs::Tracer::active(), "mip.solve_tree", "mip",
@@ -234,16 +223,11 @@ MipResult MipSolver::solve_tree(
   for (int j = 0; j < model.num_vars(); ++j)
     if (is_int[static_cast<std::size_t>(j)]) int_vars.push_back(j);
 
-  // LP effort of the cut-round simplexes destroyed before the tree runs
-  // (total_pivots() is per-object, so it is banked at each rebuild).
-  long retired_pivots = 0;
-  // Accumulates the current simplex's per-solve stats into the result;
-  // shared by the cut loop and the node loop.
-  auto accumulate_lp_stats = [&](long* pivots_out) {
-    const lp::SolveStats& st = simplex->stats();
-    const long pivots =
+  // Accumulates the simplex's per-solve stats into the result.
+  auto accumulate_lp_stats = [&](long& pivots_out) {
+    const lp::SolveStats& st = simplex.stats();
+    pivots_out +=
         st.phase1_iterations + st.phase2_iterations + st.dual_iterations;
-    if (pivots_out != nullptr) *pivots_out += pivots;
     result.phase1_iterations += st.phase1_iterations;
     result.phase2_iterations += st.phase2_iterations;
     result.dual_iterations += st.dual_iterations;
@@ -255,84 +239,6 @@ MipResult MipSolver::solve_tree(
     if (st.dual_fallback) ++result.dual_fallbacks;
   };
 
-  // --- Root cutting-plane loop -----------------------------------------
-  // Solve the relaxation, separate GMI + cover cuts against it, rebuild
-  // the LP with the admitted cuts, repeat. The loop quits on the round
-  // limit, an empty round, or two rounds of bound tail-off. When the last
-  // round admits nothing the final simplex already holds the optimal basis
-  // of the final LP, so the tree's root solve below warm-starts for free.
-  if (options_.cut_rounds > 0 && !int_vars.empty()) {
-    obs::SpanScope cut_span(obs::Tracer::active(), "mip.cut_loop", "mip");
-    cuts::CutOptions cut_options = options_.cut_options;
-    cut_options.integrality_tol = options_.integrality_tol;
-    cuts::CutPool pool(cut_options);
-    double prev_bound = -kInf;
-    int stalled_rounds = 0;
-    for (int round = 0; round < options_.cut_rounds; ++round) {
-      if (deadline.expired() ||
-          (options_.cancel != nullptr &&
-           options_.cancel->load(std::memory_order_relaxed)))
-        break;
-      simplex->set_time_limit(
-          deadline.unlimited() ? 0.0 : std::max(deadline.remaining(), 1e-3));
-      if (simplex->solve() != lp::SolveStatus::kOptimal) {
-        // Leave the failure (infeasible root, time limit, numerical) to
-        // the tree loop, which already has handling for each case.
-        accumulate_lp_stats(nullptr);
-        break;
-      }
-      accumulate_lp_stats(nullptr);
-      const double bound = simplex->objective();
-      const std::vector<double> x = simplex->primal_solution();
-      if (prev_bound > -kInf &&
-          bound - prev_bound < 1e-7 * std::max(1.0, std::fabs(bound))) {
-        if (++stalled_rounds >= 2) break;  // bound tail-off
-      } else {
-        stalled_rounds = 0;
-      }
-      prev_bound = bound;
-
-      ++result.cut_rounds;
-      const int evicted = pool.age_and_evict(x);
-      cuts::SeparationInput input;
-      input.problem = &problem;
-      input.simplex = simplex.get();
-      input.is_integer = &is_int;
-      input.base_rows = base_rows;
-      std::vector<cuts::Cut> candidates =
-          cuts::separate_gomory(input, cut_options);
-      std::vector<cuts::Cut> covers =
-          cuts::separate_covers(input, x, cut_options);
-      candidates.insert(candidates.end(),
-                        std::make_move_iterator(covers.begin()),
-                        std::make_move_iterator(covers.end()));
-      const int added =
-          pool.admit(std::move(candidates), options_.max_cuts_per_round);
-      result.cuts_added += added;
-      if (options_.cut_observer)
-        for (int k = pool.size() - added; k < pool.size(); ++k)
-          options_.cut_observer(pool.cuts()[static_cast<std::size_t>(k)]);
-      obs::counter_add("mip.cuts.added", static_cast<double>(added));
-      obs::counter_add("mip.cuts.evicted", static_cast<double>(evicted));
-      if (added == 0 && evicted == 0) break;
-
-      // Rebuild the LP as base rows + active pool, destroying the round's
-      // simplex first (it borrows the problem it was constructed on).
-      retired_pivots += simplex->total_pivots();
-      simplex.reset();
-      problem = model.to_lp(nullptr);
-      problem.reopen();
-      for (const cuts::Cut& cut : pool.cuts())
-        problem.add_row(cut.rhs, lp::kInfinity, cut.terms);
-      problem.finalize();
-      simplex = std::make_unique<lp::Simplex>(problem, lp_options);
-    }
-    if (obs::Tracer::active() && result.cuts_added > 0)
-      obs::instant("mip.cuts", "mip",
-                   "\"added\":" + std::to_string(result.cuts_added) +
-                       ",\"rounds\":" + std::to_string(result.cut_rounds));
-  }
-
   // Incumbent in minimize (LP) space.
   double incumbent_lp_obj = kInf;
   std::vector<double> incumbent;
@@ -342,7 +248,7 @@ MipResult MipSolver::solve_tree(
     for (int j : int_vars)
       snapped[static_cast<std::size_t>(j)] =
           std::round(snapped[static_cast<std::size_t>(j)]);
-    if (!check_feasible(model, problem, snapped, 1e-5, base_rows))
+    if (!check_feasible(model, problem, snapped, 1e-5))
       return false;
     const double model_obj = model.eval_objective(snapped);
     const double lp_obj = (model_obj - constant) * scale;  // scale^2 == 1
@@ -381,7 +287,7 @@ MipResult MipSolver::solve_tree(
   // drive cheap node propagation: a variable fixed to 1 zeroes its row
   // mates, a row with all-but-one mate at 0 forces the survivor to 1.
   std::vector<std::vector<int>> partition_rows;
-  for (int i = 0; i < base_rows; ++i) {
+  for (int i = 0; i < problem.num_rows(); ++i) {
     const auto& row = problem.row(i);
     if (row.lower != 1.0 || row.upper != 1.0) continue;
     bool eligible = true;
@@ -403,8 +309,8 @@ MipResult MipSolver::solve_tree(
   // Applies a node's bound deltas plus fixpoint propagation over the
   // partition rows; returns false when propagation proves infeasibility.
   auto apply_node_bounds = [&](const Node& node) {
-    simplex->reset_bounds();
-    for (const auto& [j, lo, hi] : node.bounds) simplex->set_bounds(j, lo, hi);
+    simplex.reset_bounds();
+    for (const auto& [j, lo, hi] : node.bounds) simplex.set_bounds(j, lo, hi);
     bool changed = true;
     while (changed) {
       changed = false;
@@ -413,8 +319,8 @@ MipResult MipSolver::solve_tree(
         int open_count = 0;
         int last_open = -1;
         for (const int j : members) {
-          const double lo = simplex->working_lower(j);
-          const double hi = simplex->working_upper(j);
+          const double lo = simplex.working_lower(j);
+          const double hi = simplex.working_upper(j);
           if (lo > 0.5) {
             if (fixed_one >= 0) return false;  // two ones in one row
             fixed_one = j;
@@ -426,15 +332,15 @@ MipResult MipSolver::solve_tree(
         if (fixed_one >= 0) {
           for (const int j : members) {
             if (j == fixed_one) continue;
-            if (simplex->working_upper(j) > 0.5) {
-              simplex->set_bounds(j, 0.0, 0.0);
+            if (simplex.working_upper(j) > 0.5) {
+              simplex.set_bounds(j, 0.0, 0.0);
               changed = true;
             }
           }
         } else if (open_count == 0) {
           return false;  // nobody can take the 1
         } else if (open_count == 1) {
-          simplex->set_bounds(last_open, 1.0, 1.0);
+          simplex.set_bounds(last_open, 1.0, 1.0);
           changed = true;
         }
       }
@@ -545,14 +451,14 @@ MipResult MipSolver::solve_tree(
     std::vector<double> rounded = relaxation;
     for (int j : int_vars) {
       double v = std::round(rounded[static_cast<std::size_t>(j)]);
-      v = std::clamp(v, simplex->working_lower(j), simplex->working_upper(j));
+      v = std::clamp(v, simplex.working_lower(j), simplex.working_upper(j));
       rounded[static_cast<std::size_t>(j)] = v;
-      simplex->set_bounds(j, v, v);
+      simplex.set_bounds(j, v, v);
     }
-    const lp::SolveStatus st = simplex->solve();
-    if (st == lp::SolveStatus::kOptimal) try_incumbent(simplex->primal_solution());
-    simplex->reset_bounds();
-    for (const auto& [j, lo, hi] : node.bounds) simplex->set_bounds(j, lo, hi);
+    const lp::SolveStatus st = simplex.solve();
+    if (st == lp::SolveStatus::kOptimal) try_incumbent(simplex.primal_solution());
+    simplex.reset_bounds();
+    for (const auto& [j, lo, hi] : node.bounds) simplex.set_bounds(j, lo, hi);
   };
 
   long nodes_since_heuristic = 0;
@@ -609,7 +515,7 @@ MipResult MipSolver::solve_tree(
     // Clamp to a positive epsilon: between the loop-top expiry check and
     // this call the deadline may slip to zero, and a non-positive limit
     // would make the node LP run unlimited, overrunning the MIP budget.
-    simplex->set_time_limit(
+    simplex.set_time_limit(
         deadline.unlimited() ? 0.0 : std::max(deadline.remaining(), 1e-3));
 
     // Sample node-LP spans: every Nth processed node gets a span (with the
@@ -618,7 +524,7 @@ MipResult MipSolver::solve_tree(
     const bool traced_node =
         obs::Tracer::active() && options_.trace_node_sample > 0 &&
         result.nodes % options_.trace_node_sample == 0;
-    simplex->set_trace_spans(traced_node);
+    simplex.set_trace_spans(traced_node);
     // Accumulated after every solve() call on this node (retries included)
     // so recovery and refactorization effort is never dropped from the
     // telemetry (see accumulate_lp_stats above).
@@ -630,14 +536,14 @@ MipResult MipSolver::solve_tree(
           traced_node ? "\"node\":" + std::to_string(node.id) +
                             ",\"depth\":" + std::to_string(node.depth)
                       : std::string());
-      lp_status = simplex->solve();
-      accumulate_lp_stats(&node_pivots);
+      lp_status = simplex.solve();
+      accumulate_lp_stats(node_pivots);
       if (lp_status == lp::SolveStatus::kIterationLimit) {
         // Usually a degenerate warm start; one cold retry before the node
         // is treated as numerically failed.
-        simplex->invalidate_basis();
-        lp_status = simplex->solve();
-        accumulate_lp_stats(&node_pivots);
+        simplex.invalidate_basis();
+        lp_status = simplex.solve();
+        accumulate_lp_stats(node_pivots);
       }
       if (lp_status == lp::SolveStatus::kUnbounded &&
           !(node.depth == 0 && !initial_solution)) {
@@ -648,9 +554,9 @@ MipResult MipSolver::solve_tree(
         obs::counter_add("mip.unbounded_anomalies");
         obs::instant("mip.unbounded_anomaly", "mip",
                      "\"node\":" + std::to_string(node.id));
-        simplex->invalidate_basis();
-        lp_status = simplex->solve();
-        accumulate_lp_stats(&node_pivots);
+        simplex.invalidate_basis();
+        lp_status = simplex.solve();
+        accumulate_lp_stats(node_pivots);
         if (lp_status == lp::SolveStatus::kUnbounded)
           lp_status = lp::SolveStatus::kNumericalFailure;
       }
@@ -673,7 +579,7 @@ MipResult MipSolver::solve_tree(
       // caller incumbent is unbounded.
       emit_node(node, "unbounded", node_pivots, -1, 0.0, false);
       result.status = MipStatus::kUnbounded;
-      result.lp_pivots = retired_pivots + simplex->total_pivots();
+      result.lp_pivots = simplex.total_pivots();
       result.seconds = watch.seconds();
       record_metrics();
       return result;
@@ -704,7 +610,7 @@ MipResult MipSolver::solve_tree(
       continue;
     }
 
-    const double node_bound = simplex->objective();
+    const double node_bound = simplex.objective();
 
     // Pseudocost update from the realized bound degradation.
     if (node.branch_var >= 0 && node.parent_bound > -kInf) {
@@ -735,19 +641,19 @@ MipResult MipSolver::solve_tree(
     if (options_.rc_fixing && incumbent_lp_obj < kInf) {
       const double room = incumbent_lp_obj - 1e-9 - node_bound;
       for (int j : int_vars) {
-        const lp::VarStatus st = simplex->variable_status(j);
+        const lp::VarStatus st = simplex.variable_status(j);
         if (st != lp::VarStatus::kAtLower && st != lp::VarStatus::kAtUpper)
           continue;
-        const double lo = simplex->working_lower(j);
-        const double hi = simplex->working_upper(j);
+        const double lo = simplex.working_lower(j);
+        const double hi = simplex.working_upper(j);
         if (hi - lo < 0.5) continue;  // already fixed
-        const double d = simplex->reduced_cost(j);
+        const double d = simplex.reduced_cost(j);
         if (st == lp::VarStatus::kAtLower) {
           if (d <= 1e-9) continue;
           const double new_hi =
               lo + std::floor(room / d + options_.integrality_tol);
           if (new_hi < hi - 0.5) {
-            simplex->set_bounds(j, lo, new_hi);
+            simplex.set_bounds(j, lo, new_hi);
             node.bounds.emplace_back(j, lo, new_hi);
             if (new_hi - lo < 0.5) ++result.rc_fixed;
           }
@@ -756,7 +662,7 @@ MipResult MipSolver::solve_tree(
           const double new_lo =
               hi - std::floor(room / (-d) + options_.integrality_tol);
           if (new_lo > lo + 0.5) {
-            simplex->set_bounds(j, new_lo, hi);
+            simplex.set_bounds(j, new_lo, hi);
             node.bounds.emplace_back(j, new_lo, hi);
             if (hi - new_lo < 0.5) ++result.rc_fixed;
           }
@@ -764,7 +670,7 @@ MipResult MipSolver::solve_tree(
       }
     }
 
-    const std::vector<double> x = simplex->primal_solution();
+    const std::vector<double> x = simplex.primal_solution();
 
     // Branching variable selection: highest user priority first, then a
     // pseudocost product rule with a most-fractional bootstrap component.
@@ -815,7 +721,7 @@ MipResult MipSolver::solve_tree(
     const double ceil_v = std::ceil(v);
 
     Node down = node;
-    down.bounds.emplace_back(branch, simplex->working_lower(branch), floor_v);
+    down.bounds.emplace_back(branch, simplex.working_lower(branch), floor_v);
     down.parent_bound = node_bound;
     down.depth = node.depth + 1;
     down.id = next_id++;
@@ -824,7 +730,7 @@ MipResult MipSolver::solve_tree(
     down.branch_frac = branch_frac;
 
     Node up = node;
-    up.bounds.emplace_back(branch, ceil_v, simplex->working_upper(branch));
+    up.bounds.emplace_back(branch, ceil_v, simplex.working_upper(branch));
     up.parent_bound = node_bound;
     up.depth = node.depth + 1;
     up.id = next_id++;
@@ -846,18 +752,17 @@ MipResult MipSolver::solve_tree(
     emit_node(node, "branched", node_pivots, branch, branch_frac, false);
   }
 
-  // Cut rows participate in the final basis LU, so an incumbent found on
-  // the cut-augmented LP can carry O(1e-12) noise on its continuous
-  // values — a start time that should sit exactly on a bound comes back
-  // as 6 - 2e-14. Downstream consumers compare those values against exact
-  // constants (interval overlap tests in the admission engine), so the
-  // noise is load-bearing. Re-solving the cut-free LP with the integer
-  // assignment fixed recovers a clean vertex of the original polytope;
-  // cuts only tightened the relaxation, so the polished point can only
-  // match or improve the incumbent objective.
-  if (!incumbent.empty() && result.cuts_added > 0 && !deadline.expired()) {
-    lp::Problem clean = model.to_lp(nullptr);
-    lp::Simplex polish(clean, lp_options);
+  // Polish: re-solve the LP from scratch with the incumbent's integers
+  // fixed. An incumbent read off a node LP carries the noise of that
+  // node's basis updates on its continuous values — a start time that
+  // should sit exactly on a bound comes back as 6 - 2e-14. Downstream
+  // consumers compare those values against exact constants (interval
+  // overlap tests in the admission engine), so the noise is load-bearing.
+  // The fresh solve lands on a clean vertex with the same or a better
+  // objective.
+  long polish_pivots = 0;
+  if (!incumbent.empty() && !deadline.expired()) {
+    lp::Simplex polish(problem, lp_options);
     polish.set_time_limit(
         deadline.unlimited() ? 0.0 : std::max(deadline.remaining(), 1e-3));
     for (int j : int_vars)
@@ -871,15 +776,15 @@ MipResult MipSolver::solve_tree(
       const double model_obj = model.eval_objective(x);
       const double lp_obj = (model_obj - constant) * scale;
       if (lp_obj <= incumbent_lp_obj + 1e-6 &&
-          check_feasible(model, clean, x, 1e-5)) {
+          check_feasible(model, problem, x, 1e-5)) {
         incumbent = std::move(x);
         incumbent_lp_obj = std::min(incumbent_lp_obj, lp_obj);
       }
     }
-    retired_pivots += polish.total_pivots();
+    polish_pivots = polish.total_pivots();
   }
 
-  result.lp_pivots = retired_pivots + simplex->total_pivots();
+  result.lp_pivots = simplex.total_pivots() + polish_pivots;
   result.seconds = watch.seconds();
   result.has_solution = !incumbent.empty();
   if (result.has_solution) {

@@ -9,16 +9,17 @@
 //  * optional caller-supplied initial incumbent (the TVNEP greedy feeds
 //    its solution in, mirroring how MIP solvers accept warm starts);
 //  * wall-clock limit with best-incumbent / best-bound gap reporting, the
-//    quantity the paper plots in Figures 4 and 6.
+//    quantity the paper plots in Figures 4 and 6;
+//  * reduced-cost fixing at every node, and a final polish that re-solves
+//    the LP with the incumbent's integers fixed, so continuous values come
+//    back as a clean vertex instead of carrying basis-update noise.
 #pragma once
 
 #include <atomic>
 #include <optional>
+#include <string>
 #include <vector>
 
-#include <functional>
-
-#include "mip/cuts.hpp"
 #include "mip/model.hpp"
 #include "lp/simplex.hpp"
 #include "presolve/presolve.hpp"
@@ -63,22 +64,11 @@ struct MipOptions {
   // original variable space.
   bool presolve = true;
   presolve::PresolveOptions presolve_options;
-  // Root cutting-plane loop (src/mip/cuts.hpp): up to `cut_rounds`
-  // separation rounds at the root, each admitting at most
-  // `max_cuts_per_round` Gomory mixed-integer + cover cuts into the LP;
-  // 0 rounds disables separation entirely. Fine-grained filter and pool
-  // knobs live in `cut_options`.
-  int cut_rounds = 8;
-  int max_cuts_per_round = 50;
-  cuts::CutOptions cut_options;
-  // Test/debug seam: observes every cut admitted into the root LP, in the
-  // (possibly presolved) space the tree solves. The cut-validity harness
-  // checks each observed cut against a known optimal integer solution.
-  std::function<void(const cuts::Cut&)> cut_observer;
   // Reduced-cost variable fixing: after every optimal node LP with an
   // incumbent available, nonbasic integer variables whose reduced cost
   // proves them out of any improving solution are fixed (or their domain
-  // tightened) for the whole subtree.
+  // tightened) for the whole subtree. Always on in production; the switch
+  // exists so a test can compare against the unfixed tree.
   bool rc_fixing = true;
   // Observability. `tree_log` receives one record per processed node (see
   // obs/tree_log.hpp for the schema); when null the solver falls back to
@@ -134,9 +124,8 @@ struct MipResult {
   long presolve_bounds_tightened = 0;
   bool presolve_infeasible = false;  // presolve alone proved infeasibility
   double presolve_seconds = 0.0;
-  // Root cutting-plane telemetry (zero when MipOptions::cut_rounds is 0).
-  long cuts_added = 0;   // cuts admitted into the root LP
-  long cut_rounds = 0;   // separation rounds executed
+  // Always 0 (no root cutting planes); perfbench/driver.cpp still reads it.
+  long cut_rounds = 0;
   // Integer variables fixed (domain collapsed to a point) by reduced-cost
   // fixing across all nodes; zero when MipOptions::rc_fixing is off.
   long rc_fixed = 0;

@@ -50,8 +50,6 @@ TvnepSolveResult solve(const net::TvnepInstance& instance, ModelKind kind,
   result.lp_basis_fill_max = mip_result.lp_basis_fill_max;
   result.lp_recoveries = mip_result.lp_recoveries;
   result.numerical_drops = mip_result.numerical_drops;
-  result.cuts_added = mip_result.cuts_added;
-  result.cut_rounds = mip_result.cut_rounds;
   result.rc_fixed = mip_result.rc_fixed;
   result.model_vars = formulation->model().num_vars();
   result.model_constraints = formulation->model().num_constraints();

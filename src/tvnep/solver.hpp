@@ -41,8 +41,6 @@ struct TvnepSolveResult {
   double lp_basis_fill_max = 0.0;  // worst factorization fill ratio seen
   long lp_recoveries = 0;   // recovery-ladder rungs taken across node LPs
   long numerical_drops = 0;  // subtrees dropped after recovery + requeue
-  long cuts_added = 0;      // root cuts admitted into the LP
-  long cut_rounds = 0;      // root separation rounds executed
   long rc_fixed = 0;        // integer vars fixed by reduced-cost fixing
   int model_vars = 0;
   int model_constraints = 0;

@@ -152,6 +152,41 @@ TEST_F(CheckpointTest, TornFinalLineIsRepairedOnDisk) {
   EXPECT_NE(again->find(b.key), nullptr);
 }
 
+TEST_F(CheckpointTest, UnterminatedCompleteFinalRecordIsDroppedAndRepaired) {
+  // A crash between a record's bytes and its newline leaves a final line
+  // that parses but is unterminated. The append was never acknowledged,
+  // so resume drops it and repairs the file; otherwise the next append
+  // glues onto it and a later resume fails on the merged line.
+  auto journal = SweepJournal::create(path_, 3);
+  CellRecord a;
+  a.key = {"m", 0, 0};
+  a.fields["x"] = JournalValue(1.0);
+  CellRecord b = a;
+  b.key.seed = 1;
+  CellRecord c = a;
+  c.key.seed = 2;
+  ASSERT_TRUE(journal->append(a));
+  ASSERT_TRUE(journal->append(b));
+  std::string content = read_all(path_);
+  ASSERT_EQ(content.back(), '\n');
+  content.pop_back();  // complete record, newline lost
+  {
+    std::ofstream out(path_, std::ios::trunc);
+    out << content;
+  }
+
+  auto resumed = SweepJournal::resume(path_, 3);
+  EXPECT_EQ(resumed->loaded(), 1u);
+  EXPECT_EQ(resumed->find(b.key), nullptr);
+  ASSERT_TRUE(resumed->append(b));
+  ASSERT_TRUE(resumed->append(c));
+  auto again = SweepJournal::resume(path_, 3);
+  EXPECT_EQ(again->loaded(), 3u);
+  EXPECT_NE(again->find(a.key), nullptr);
+  EXPECT_NE(again->find(b.key), nullptr);
+  EXPECT_NE(again->find(c.key), nullptr);
+}
+
 TEST_F(CheckpointTest, MalformedMiddleLineIsFatal) {
   auto journal = SweepJournal::create(path_, 3);
   CellRecord a;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "greedy/greedy.hpp"
 #include "net/topology.hpp"
 #include "tvnep/solver.hpp"
@@ -111,6 +115,52 @@ TEST(Greedy, RejectedRequestsKeepPinnedTimes) {
     EXPECT_NEAR(emb.start, inst.request(i).earliest_start(), 1e-9);
     EXPECT_NEAR(emb.end, emb.start + inst.request(i).duration(), 1e-9);
   }
+}
+
+TEST(Greedy, StepMipAcceptsWithPinnedFractionalTimes) {
+  // Regression mirror of ServeReopt.BackgroundReoptStrictlyImprovesAdmission:
+  // a greedy-step cΣ model whose pinned commit sits at fractional times and
+  // whose candidate window opens at 6.5. The step MIP must accept the
+  // candidate at the start of its window.
+  net::SubstrateNetwork substrate;
+  substrate.add_node(10.0, "A");
+  substrate.add_node(10.0, "B");
+  substrate.add_node(10.0, "C");
+  substrate.add_link(0, 1, 1.0);
+  substrate.add_link(1, 2, 1.0);
+
+  auto line_request = [](const std::string& name, double t_s, double t_e,
+                         double d, int nodes,
+                         std::vector<std::pair<int, int>> links) {
+    net::VnetRequest request(name);
+    for (int v = 0; v < nodes; ++v) request.add_node(1.0);
+    for (const auto& [from, to] : links) request.add_link(from, to, 1.0);
+    request.set_temporal(t_s, t_e, d);
+    return request;
+  };
+
+  net::TvnepInstance working(substrate, 0.0);
+  std::vector<int> force_accept;
+  // The engine's component for the candidate window [6.5, 9] is the single
+  // post-reopt commit R2, pinned to its installed schedule.
+  net::VnetRequest r2 = line_request("R2", 6.0, 9.0, 3.0, 2, {{0, 1}});
+  force_accept.push_back(
+      working.add_request(std::move(r2), std::vector<int>{0, 1}));
+  // The candidate: window [6.5, 9], duration 2, over L2 only.
+  const int target = working.add_request(
+      line_request("R3", 6.5, 9.0, 2.0, 2, {{0, 1}}),
+      std::vector<int>{1, 2});
+  working.fit_horizon();
+
+  const GreedyStepResult step =
+      solve_greedy_step_mip(working, target, force_accept, {}, {});
+  ASSERT_TRUE(step.step.has_solution);
+  EXPECT_EQ(step.step.status, mip::MipStatus::kOptimal);
+  EXPECT_TRUE(step.accepted);
+  EXPECT_NEAR(step.start, 6.5, 1e-9);
+  EXPECT_NEAR(step.end, 8.5, 1e-9);
+  // Eq. 21 with horizon T = 9: T·1 for the accept + (T - 8.5) for the end.
+  EXPECT_NEAR(step.step.objective, 9.5, 1e-6);
 }
 
 }  // namespace

@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "net/topology.hpp"
+#include "tvnep/solver.hpp"
+#include "workload/generator.hpp"
 
 namespace tvnep::mip {
 namespace {
@@ -220,6 +227,143 @@ TEST(BranchAndBound, IsFeasibleChecksRowsBoundsIntegrality) {
   EXPECT_FALSE(MipSolver::is_feasible(m, {1.0, 1.5}));   // row violated
   EXPECT_FALSE(MipSolver::is_feasible(m, {1.0, 3.0}));   // bound violated
   EXPECT_FALSE(MipSolver::is_feasible(m, {1.0}));        // wrong arity
+}
+
+TEST(RcFixing, NeverFixesAwayTheOptimum) {
+  // Reduced-cost fixing must preserve the optimum and its objective on the
+  // randomized grid; rc_fixed is telemetry-only here.
+  workload::WorkloadParams params;
+  params.grid_rows = 2;
+  params.grid_cols = 2;
+  params.star_leaves = 2;
+  params.num_requests = 3;
+  params.flexibility = 1.0;
+  for (const core::ModelKind kind : {core::ModelKind::kDelta,
+                                     core::ModelKind::kSigma,
+                                     core::ModelKind::kCSigma}) {
+    for (int seed = 1; seed <= 3; ++seed) {
+      params.seed = static_cast<unsigned>(seed);
+      const net::TvnepInstance instance = workload::generate_workload(params);
+      const auto formulation = core::build_formulation(instance, kind, {});
+      MipOptions plain;
+      plain.rc_fixing = false;
+      const MipResult reference =
+          MipSolver(plain).solve(formulation->model());
+
+      const MipResult fixed = MipSolver().solve(formulation->model());
+      ASSERT_EQ(fixed.status, reference.status)
+          << core::to_string(kind) << " seed " << seed;
+      if (reference.status != MipStatus::kOptimal) continue;
+      EXPECT_NEAR(fixed.objective, reference.objective, 1e-6)
+          << core::to_string(kind) << " seed " << seed;
+    }
+  }
+}
+
+TEST(BranchAndBound, IncumbentLandsExactlyOnScheduleBoundaries) {
+  // Regression for the incumbent polish: an incumbent read off a node LP
+  // carries O(1e-14) noise on its continuous values (the node's basis
+  // updates), and the admission engine's strict interval-overlap
+  // comparisons turn that noise into phantom conflicts between adjacent
+  // commits. The solver must report the clean vertex of a fresh solve:
+  // back-to-back schedules meet EXACTLY at their shared boundary, bit for
+  // bit.
+  net::SubstrateNetwork substrate;
+  substrate.add_node(10.0, "A");
+  substrate.add_node(10.0, "B");
+  substrate.add_node(10.0, "C");
+  substrate.add_link(0, 1, 1.0);
+  substrate.add_link(1, 2, 1.0);
+
+  auto line_request = [](const std::string& name, double t_s, double t_e,
+                         double d, int nodes,
+                         std::vector<std::pair<int, int>> links) {
+    net::VnetRequest request(name);
+    for (int v = 0; v < nodes; ++v) request.add_node(1.0);
+    for (const auto& [from, to] : links) request.add_link(from, to, 1.0);
+    request.set_temporal(t_s, t_e, d);
+    return request;
+  };
+
+  // The serve reoptimizer's instance for its swap scenario: C1 is a
+  // running commit pinned to [0, 6]; R1 and R2 are movable inside their
+  // original windows. Max-earliness packs them back to back on link L1:
+  // C1 [0, 6], R2 [6, 9], R1 [9, 11].
+  net::TvnepInstance instance(substrate, 0.0);
+  instance.add_request(line_request("C1", 0.0, 6.0, 6.0, 2, {{0, 1}}),
+                       std::vector<int>{0, 1});
+  instance.add_request(
+      line_request("R1", 0.2, 20.0, 2.0, 3, {{0, 1}, {1, 2}}),
+      std::vector<int>{0, 1, 2});
+  instance.add_request(line_request("R2", 0.4, 11.0, 3.0, 2, {{0, 1}}),
+                       std::vector<int>{0, 1});
+  instance.fit_horizon();
+
+  core::SolveParams params;
+  params.build.objective = core::ObjectiveKind::kMaxEarliness;
+  const core::TvnepSolveResult solved =
+      core::solve(instance, core::ModelKind::kCSigma, params);
+  ASSERT_TRUE(solved.has_solution);
+  EXPECT_EQ(solved.status, MipStatus::kOptimal);
+
+  const auto& requests = solved.solution.requests;
+  ASSERT_EQ(requests.size(), 3u);
+  for (const auto& emb : requests) ASSERT_TRUE(emb.accepted);
+  // EXPECT_EQ on doubles on purpose: a tolerance would wave the 1e-14
+  // noise through, and the downstream comparisons have none.
+  EXPECT_EQ(requests[0].start, 0.0);
+  EXPECT_EQ(requests[0].end, 6.0);
+  EXPECT_EQ(requests[2].start, 6.0);
+  EXPECT_EQ(requests[2].end, 9.0);
+  EXPECT_EQ(requests[1].start, 9.0);
+  EXPECT_EQ(requests[1].end, 11.0);
+}
+
+// B&B termination must evaluate the SAME normalized
+// gap as MipResult::gap() reports. A large objective constant makes the
+// raw bound difference (0.5) tiny relative to the objective; the solver
+// must stop at the root with a within-tolerance gap instead of branching
+// to exactness.
+TEST(GapTermination, NormalizedGapStopsAtRootUnderLargeConstant) {
+  // min 1e7 + x1 + x2, x1 + x2 >= 0.5, binary. LP bound 1e7 + 0.5,
+  // incumbent (1, 0) at 1e7 + 1: relative gap 0.5 / (1e7 + 1) ~= 5e-8,
+  // within the default 1e-6 tolerance — no branching needed.
+  Model m;
+  const Var x1 = m.add_binary("x1");
+  const Var x2 = m.add_binary("x2");
+  m.add_constr(LinExpr(x1) + 1.0 * x2 >= 0.5);
+  m.set_objective(Sense::kMinimize, LinExpr(x1) + 1.0 * x2 + 1e7);
+
+  MipOptions options;
+  options.presolve = false;   // coefficient tightening would round the row
+  MipSolver solver(options);
+  const MipResult r = solver.solve(m, std::vector<double>{1.0, 0.0});
+  ASSERT_EQ(r.status, MipStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 1e7 + 1.0, 1e-5);
+  // The root's children were never solved: the loop-top gap check fired.
+  EXPECT_LE(r.nodes, 1);
+  EXPECT_GT(r.objective - r.best_bound, 1e-9);  // bound NOT raw-converged
+  EXPECT_LE(r.gap(), 1e-6);                     // but normalized-converged
+}
+
+TEST(GapTermination, BranchesToExactnessUnderSmallConstant) {
+  // Same model with a 1e4 constant: relative gap 0.5 / (1e4 + 1) ~= 5e-5
+  // exceeds the tolerance, so the solver must branch and prove exactness.
+  Model m;
+  const Var x1 = m.add_binary("x1");
+  const Var x2 = m.add_binary("x2");
+  m.add_constr(LinExpr(x1) + 1.0 * x2 >= 0.5);
+  m.set_objective(Sense::kMinimize, LinExpr(x1) + 1.0 * x2 + 1e4);
+
+  MipOptions options;
+  options.presolve = false;
+  MipSolver solver(options);
+  const MipResult r = solver.solve(m, std::vector<double>{1.0, 0.0});
+  ASSERT_EQ(r.status, MipStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 1e4 + 1.0, 1e-7);
+  EXPECT_GT(r.nodes, 1);
+  EXPECT_NEAR(r.best_bound, r.objective, 1e-7);
+  EXPECT_NEAR(r.gap(), 0.0, 1e-12);
 }
 
 }  // namespace
