@@ -18,10 +18,11 @@
 // (numbers, strings, bools; non-finite numbers are stored as the strings
 // "inf"/"-inf"/"nan" to stay valid JSON).
 //
-// Crash tolerance: a torn final line (the record being appended when the
-// process died) is detected and dropped on load. A malformed line
-// anywhere else is a real corruption and raises a ParseError annotated
-// with the journal path, line and column.
+// The header, its check and the crash tolerance are support/journal's,
+// shared with the serve WAL: a torn final line (the record being appended
+// when the process died) is dropped on load and the file repaired; a
+// malformed line anywhere else is a real corruption and raises a
+// ParseError annotated with the journal path, line and column.
 #pragma once
 
 #include <cstdint>

@@ -223,11 +223,11 @@ MipResult MipSolver::solve_tree(
   for (int j = 0; j < model.num_vars(); ++j)
     if (is_int[static_cast<std::size_t>(j)]) int_vars.push_back(j);
 
-  // Accumulates the simplex's per-solve stats into the result.
-  auto accumulate_lp_stats = [&](long& pivots_out) {
-    const lp::SolveStats& st = simplex.stats();
-    pivots_out +=
-        st.phase1_iterations + st.phase2_iterations + st.dual_iterations;
+  // Accumulates one LP solve's stats into the result — node LPs, the
+  // rounding dives and the polish alike, so the iteration counts cover
+  // every solve lp_pivots counts. Returns the solve's iterations.
+  auto accumulate_lp_stats = [&](const lp::Simplex& lp) -> long {
+    const lp::SolveStats& st = lp.stats();
     result.phase1_iterations += st.phase1_iterations;
     result.phase2_iterations += st.phase2_iterations;
     result.dual_iterations += st.dual_iterations;
@@ -237,6 +237,7 @@ MipResult MipSolver::solve_tree(
         std::max(result.lp_basis_fill_max, st.basis_fill_max);
     result.lp_recoveries += st.recoveries();
     if (st.dual_fallback) ++result.dual_fallbacks;
+    return st.phase1_iterations + st.phase2_iterations + st.dual_iterations;
   };
 
   // Incumbent in minimize (LP) space.
@@ -456,6 +457,7 @@ MipResult MipSolver::solve_tree(
       simplex.set_bounds(j, v, v);
     }
     const lp::SolveStatus st = simplex.solve();
+    accumulate_lp_stats(simplex);
     if (st == lp::SolveStatus::kOptimal) try_incumbent(simplex.primal_solution());
     simplex.reset_bounds();
     for (const auto& [j, lo, hi] : node.bounds) simplex.set_bounds(j, lo, hi);
@@ -537,13 +539,13 @@ MipResult MipSolver::solve_tree(
                             ",\"depth\":" + std::to_string(node.depth)
                       : std::string());
       lp_status = simplex.solve();
-      accumulate_lp_stats(node_pivots);
+      node_pivots += accumulate_lp_stats(simplex);
       if (lp_status == lp::SolveStatus::kIterationLimit) {
         // Usually a degenerate warm start; one cold retry before the node
         // is treated as numerically failed.
         simplex.invalidate_basis();
         lp_status = simplex.solve();
-        accumulate_lp_stats(node_pivots);
+        node_pivots += accumulate_lp_stats(simplex);
       }
       if (lp_status == lp::SolveStatus::kUnbounded &&
           !(node.depth == 0 && !initial_solution)) {
@@ -556,7 +558,7 @@ MipResult MipSolver::solve_tree(
                      "\"node\":" + std::to_string(node.id));
         simplex.invalidate_basis();
         lp_status = simplex.solve();
-        accumulate_lp_stats(node_pivots);
+        node_pivots += accumulate_lp_stats(simplex);
         if (lp_status == lp::SolveStatus::kUnbounded)
           lp_status = lp::SolveStatus::kNumericalFailure;
       }
@@ -768,7 +770,9 @@ MipResult MipSolver::solve_tree(
     for (int j : int_vars)
       polish.set_bounds(j, incumbent[static_cast<std::size_t>(j)],
                         incumbent[static_cast<std::size_t>(j)]);
-    if (polish.solve() == lp::SolveStatus::kOptimal) {
+    const lp::SolveStatus polish_status = polish.solve();
+    accumulate_lp_stats(polish);
+    if (polish_status == lp::SolveStatus::kOptimal) {
       std::vector<double> x = polish.primal_solution();
       for (int j : int_vars)
         x[static_cast<std::size_t>(j)] =

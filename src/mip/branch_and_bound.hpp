@@ -99,18 +99,19 @@ struct MipResult {
   long nodes = 0;
   long lp_pivots = 0;
   double seconds = 0.0;
-  // LP effort breakdown (accumulated over all node solves).
+  // LP effort breakdown, accumulated over every LP solve: node LPs,
+  // rounding dives and the incumbent polish (the solves lp_pivots counts).
   long phase1_iterations = 0;
   long phase2_iterations = 0;
   long dual_iterations = 0;
   long dual_fallbacks = 0;  // warm starts that fell back to primal phases
-  long refactorizations = 0;  // basis refactorizations across node LPs
-  long basis_updates = 0;   // incremental basis updates across node LPs
-  // Worst nnz(factors)/nnz(B) fill ratio any node LP factorization hit
+  long refactorizations = 0;  // basis refactorizations across LP solves
+  long basis_updates = 0;   // incremental basis updates across LP solves
+  // Worst nnz(factors)/nnz(B) fill ratio any LP factorization hit
   // (dense backend: m^2/nnz(B)); 0 when no factorization happened.
   double lp_basis_fill_max = 0.0;
   // Numerical-resilience telemetry. `lp_recoveries` totals the recovery
-  // ladder rungs taken across all node LPs (per-rung counts are on the
+  // ladder rungs taken across all LP solves (per-rung counts are on the
   // lp.recovery.* metrics); `numerical_drops` counts subtrees abandoned
   // after the ladder and one requeue both failed — any drop makes the
   // final status an anytime one (kNumericalLimit at best), never optimal,

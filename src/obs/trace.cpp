@@ -17,30 +17,6 @@ std::string json_number(double value) {
   return buffer;
 }
 
-std::string json_escape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 Tracer::Tracer() : epoch_(MonotonicClock::now()) {}
 
 Tracer& Tracer::instance() {

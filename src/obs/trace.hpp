@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "support/json.hpp"
 #include "support/stopwatch.hpp"
 
 namespace tvnep::obs {
@@ -47,8 +48,9 @@ std::string render_trace_event(const TraceEvent& event);
 /// call sites use to build span args and that the JSON writers reuse.
 std::string json_number(double value);
 
-/// Escapes a string for embedding between JSON quotes.
-std::string json_escape(const std::string& value);
+/// The one JSON string escaper lives in support/json; named here for the
+/// call sites, perfbench/driver.cpp among them, that spell it obs::.
+using tvnep::json_escape;
 
 class Tracer {
  public:

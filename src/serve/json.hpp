@@ -1,66 +1,12 @@
-// Minimal JSON value model and recursive-descent parser for the serve
-// protocol (one NDJSON message per line). Scope is deliberately small —
-// objects, arrays, strings, doubles, bools, null — but the grammar it
-// accepts is real JSON: strict escapes (including \uXXXX surrogate
-// pairs), full-token numbers via from_chars, no trailing garbage.
-// Malformed input throws ParseError with source/line/column, matching the
-// rest of the repo's line-oriented readers.
-//
-// Writing stays string-based (obs::json_escape / obs::json_number plus
-// snprintf-free concatenation in protocol.cpp); this header is only the
-// *reading* half.
+// Forwarding header kept for perfbench/driver.cpp, which names
+// serve::JsonValue and serve::parse_json and changes only together with
+// the benchmark. The codec lives in support/json.hpp; new code includes
+// that.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
+#include "support/json.hpp"
 
 namespace tvnep::serve {
-
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  JsonValue() = default;
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-
-  bool as_bool() const { return bool_; }
-  double as_number() const { return number_; }
-  const std::string& as_string() const { return string_; }
-  const std::vector<JsonValue>& as_array() const { return array_; }
-  const std::map<std::string, JsonValue>& as_object() const { return object_; }
-
-  /// Object member lookup; nullptr when absent (or not an object).
-  const JsonValue* find(const std::string& key) const;
-
-  static JsonValue make_null() { return JsonValue(); }
-  static JsonValue make_bool(bool b);
-  static JsonValue make_number(double x);
-  static JsonValue make_string(std::string s);
-  static JsonValue make_array(std::vector<JsonValue> items);
-  static JsonValue make_object(std::map<std::string, JsonValue> members);
-
- private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
-};
-
-/// Parses exactly one JSON value from `text` (the whole string must be
-/// consumed apart from surrounding whitespace). `source` and `line` seed
-/// the ParseError location; columns are 1-based offsets into `text`.
-JsonValue parse_json(const std::string& text, const std::string& source,
-                     long line = 1);
-
+using tvnep::JsonValue;
+using tvnep::parse_json;
 }  // namespace tvnep::serve

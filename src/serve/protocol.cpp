@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "obs/trace.hpp"
-#include "serve/json.hpp"
+#include "support/json.hpp"
 #include "support/parse_error.hpp"
 
 namespace tvnep::serve {
@@ -26,13 +26,11 @@ double require_number(const JsonValue& obj, const std::string& key,
   return v->as_number();
 }
 
-int require_index(double x, const std::string& what, int limit,
+int require_index(const JsonValue& value, const std::string& what, int limit,
                   const std::string& source, long line) {
-  // Range-check the double first: casting a value outside int's range
-  // (1e20, infinity, NaN) is undefined behavior before any check runs.
-  if (!(x >= 0.0) || x >= static_cast<double>(limit) || std::floor(x) != x)
-    fail(source, line, what + " out of range");
-  return static_cast<int>(x);
+  const std::optional<int> x = json_int(value);
+  if (!x || *x < 0 || *x >= limit) fail(source, line, what + " out of range");
+  return *x;
 }
 
 RequestMessage parse_request(const JsonValue& obj, const std::string& source,
@@ -46,8 +44,11 @@ RequestMessage parse_request(const JsonValue& obj, const std::string& source,
   const double t_s = require_number(obj, "t_s", source, line);
   const double t_e = require_number(obj, "t_e", source, line);
   const double d = require_number(obj, "d", source, line);
+  // The request's own invariants (net::VnetRequest), checked here so a bad
+  // line is a protocol error rather than an exception that ends the daemon.
+  if (t_s < 0.0) fail(source, line, "t_s must be non-negative");
   if (d <= 0.0) fail(source, line, "duration must be positive");
-  if (t_e - t_s < d)
+  if (t_e - t_s < d || t_s + d > t_e + 1e-12)
     fail(source, line, "window [t_s, t_e] shorter than duration");
 
   const JsonValue* nodes = obj.find("nodes");
@@ -68,10 +69,11 @@ RequestMessage parse_request(const JsonValue& obj, const std::string& source,
       const auto& triple = link.as_array();
       for (const JsonValue& field : triple)
         if (!field.is_number()) fail(source, line, "link fields must be numbers");
-      const int from = require_index(triple[0].as_number(), "link endpoint",
+      const int from = require_index(triple[0], "link endpoint",
                                      request.num_nodes(), source, line);
-      const int to = require_index(triple[1].as_number(), "link endpoint",
+      const int to = require_index(triple[1], "link endpoint",
                                    request.num_nodes(), source, line);
+      if (from == to) fail(source, line, "link endpoints must differ");
       if (triple[2].as_number() < 0.0)
         fail(source, line, "link demand must be non-negative");
       request.add_link(from, to, triple[2].as_number());
@@ -91,12 +93,12 @@ RequestMessage parse_request(const JsonValue& obj, const std::string& source,
       std::vector<net::NodeId> nodes_out;
       for (const JsonValue& node : mapping->as_array()) {
         // The substrate size is unknown at parse time (the engine bounds
-        // the ids on admission); here only reject what cannot be cast to
-        // int without undefined behavior.
-        const double x = node.is_number() ? node.as_number() : -1.0;
-        if (!(x >= 0.0) || x >= 2147483648.0 || std::floor(x) != x)
+        // the ids on admission); here only reject what is not a
+        // non-negative int.
+        const std::optional<int> id = json_int(node);
+        if (!id || *id < 0)
           fail(source, line, "mapping entries must be substrate node ids");
-        nodes_out.push_back(static_cast<net::NodeId>(x));
+        nodes_out.push_back(*id);
       }
       out.mapping = std::move(nodes_out);
     }
@@ -134,20 +136,20 @@ InMessage parse_message(const std::string& line, const std::string& source,
 std::string encode_request(const RequestMessage& message) {
   std::ostringstream os;
   os << "{\"type\":\"request\",\"id\":\"" << obs::json_escape(message.id)
-     << "\",\"t_s\":" << obs::json_number(message.request.earliest_start())
-     << ",\"t_e\":" << obs::json_number(message.request.latest_end())
-     << ",\"d\":" << obs::json_number(message.request.duration())
+     << "\",\"t_s\":" << json_exact_number(message.request.earliest_start())
+     << ",\"t_e\":" << json_exact_number(message.request.latest_end())
+     << ",\"d\":" << json_exact_number(message.request.duration())
      << ",\"nodes\":[";
   for (int v = 0; v < message.request.num_nodes(); ++v) {
     if (v > 0) os << ',';
-    os << obs::json_number(message.request.node_demand(v));
+    os << json_exact_number(message.request.node_demand(v));
   }
   os << "],\"links\":[";
   for (int e = 0; e < message.request.num_links(); ++e) {
     const net::VirtualLink& link = message.request.link(e);
     if (e > 0) os << ',';
     os << '[' << link.from << ',' << link.to << ','
-       << obs::json_number(link.demand) << ']';
+       << json_exact_number(link.demand) << ']';
   }
   os << ']';
   if (message.mapping.has_value()) {
@@ -167,8 +169,8 @@ std::string encode_decision(const Decision& decision) {
   os << "{\"type\":\"decision\",\"id\":\"" << obs::json_escape(decision.id)
      << "\",\"accepted\":" << (decision.accepted ? "true" : "false");
   if (decision.accepted) {
-    os << ",\"start\":" << obs::json_number(decision.start)
-       << ",\"end\":" << obs::json_number(decision.end);
+    os << ",\"start\":" << json_exact_number(decision.start)
+       << ",\"end\":" << json_exact_number(decision.end);
   } else {
     os << ",\"reason\":\"" << obs::json_escape(decision.reason) << "\"";
   }

@@ -18,6 +18,10 @@
 //   {"type":"error","message":...}      — malformed input (the line is
 //                                         dropped; the stream continues)
 //   {"type":"bye","decided":N}
+//
+// Times, demands and decision start/end are written with support/json's
+// exact %.17g writer, so they re-read to the identical doubles: the daemon
+// admits exactly the request that offline replay of the same trace sees.
 #pragma once
 
 #include <optional>

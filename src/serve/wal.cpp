@@ -6,19 +6,18 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "net/instance.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/json.hpp"
 #include "support/atomic_file.hpp"
 #include "support/check.hpp"
+#include "support/journal.hpp"
+#include "support/json.hpp"
 #include "support/parse_error.hpp"
 #include "support/stopwatch.hpp"
 
@@ -27,39 +26,29 @@ namespace tvnep::serve {
 namespace {
 
 constexpr int kWalVersion = 1;
+constexpr JournalFormat kLogFormat{"wal", "tvnep-serve", kWalVersion};
+constexpr JournalFormat kSnapshotFormat{"snapshot", "tvnep-serve", kWalVersion};
 constexpr const char* kLogName = "wal.jsonl";
 
-// FNV-1a, the same construction as eval/checkpoint.
-std::uint64_t fnv1a(const std::string& data,
-                    std::uint64_t hash = 0xcbf29ce484222325ull) {
-  for (const unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-std::string json_quote(const std::string& value) {
-  return "\"" + obs::json_escape(value) + "\"";
-}
-
-std::string fingerprint_hex(std::uint64_t fingerprint) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return buffer;
-}
-
-std::string log_header(std::uint64_t fingerprint) {
-  return "{\"wal\":\"tvnep-serve\",\"version\":" + std::to_string(kWalVersion) +
-         ",\"fingerprint\":\"" + fingerprint_hex(fingerprint) + "\"}";
-}
-
 std::string snapshot_name(std::uint64_t tag) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "snapshot-%016llx.state",
-                static_cast<unsigned long long>(tag));
-  return buffer;
+  return "snapshot-" + fingerprint_hex(tag) + ".state";
+}
+
+// The snapshot generations in `dir`, newest first: fixed-width hex tags
+// make the lexicographic sort the txid sort.
+std::vector<std::string> snapshot_names(const std::string& dir) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  std::vector<std::string> names;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > std::string("snapshot-.state").size() &&
+        name.rfind("snapshot-", 0) == 0 &&
+        name.compare(name.size() - 6, 6, ".state") == 0)
+      names.push_back(name);
+  }
+  std::sort(names.rbegin(), names.rend());
+  return names;
 }
 
 const char* outcome_name(AdmitOutcome outcome) {
@@ -94,13 +83,27 @@ double number_member(const JsonValue& value, const char* key,
   return m.as_number();
 }
 
+// Range-checked casts: a double outside the target type's range makes
+// the cast undefined, and recovery reads crash-damaged bytes.
+std::uint64_t to_uint(const JsonValue& value, const char* what,
+                      const std::string& source, long line) {
+  const double raw = value.is_number() ? value.as_number() : -1.0;
+  if (!(raw >= 0.0 && raw < 18446744073709551616.0))
+    throw ParseError(source, line, 0,
+                     std::string(what) + " is not a non-negative integer");
+  return static_cast<std::uint64_t>(raw);
+}
+
+int to_int(const JsonValue& value, const char* what, const std::string& source,
+           long line) {
+  const std::optional<int> x = json_int(value);
+  if (!x) throw ParseError(source, line, 0, std::string(what) + " is not an int");
+  return *x;
+}
+
 std::uint64_t uint_member(const JsonValue& value, const char* key,
                           const std::string& source, long line) {
-  const double raw = number_member(value, key, source, line);
-  if (raw < 0)
-    throw ParseError(source, line, 0,
-                     std::string("key \"") + key + "\" is negative");
-  return static_cast<std::uint64_t>(raw);
+  return to_uint(member(value, key, source, line), key, source, line);
 }
 
 const std::string& string_member(const JsonValue& value, const char* key,
@@ -156,11 +159,9 @@ core::RequestEmbedding decode_embedding(const JsonValue& value,
   embedding.accepted = true;  // only accepted commits are ever persisted
   embedding.start = number_member(value, "start", source, line);
   embedding.end = number_member(value, "end", source, line);
-  for (const JsonValue& node : array_member(value, "nm", source, line)) {
-    if (!node.is_number())
-      throw ParseError(source, line, 0, "node mapping entry is not a number");
-    embedding.node_mapping.push_back(static_cast<int>(node.as_number()));
-  }
+  for (const JsonValue& node : array_member(value, "nm", source, line))
+    embedding.node_mapping.push_back(
+        to_int(node, "node mapping entry", source, line));
   for (const JsonValue& flow : array_member(value, "flow", source, line)) {
     if (!flow.is_number())
       throw ParseError(source, line, 0, "flow entry is not a number");
@@ -250,9 +251,7 @@ void apply_record(AdmissionEngine::Snapshot* state, const JsonValue& record,
   const std::string& type = string_member(record, "t", source, line);
   if (type == "d") {
     for (const JsonValue& seq : array_member(record, "retired", source, line)) {
-      if (!seq.is_number())
-        throw ParseError(source, line, 0, "retired entry is not a number");
-      const auto target = static_cast<std::uint64_t>(seq.as_number());
+      const std::uint64_t target = to_uint(seq, "retired entry", source, line);
       for (std::size_t i = 0; i < state->commits.size(); ++i) {
         if (state->commits[i].seq != target) continue;
         state->retired.push_back(std::move(state->commits[i]));
@@ -303,67 +302,21 @@ bool record_after_state(const AdmissionEngine::Snapshot& state,
   return version > state.version;
 }
 
-struct FileLines {
-  std::vector<std::string> lines;
-  bool last_terminated = true;
-};
-
-bool read_lines(const std::string& path, FileLines* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  std::size_t begin = 0;
-  while (begin < content.size()) {
-    const std::size_t end = content.find('\n', begin);
-    if (end == std::string::npos) {
-      out->lines.push_back(content.substr(begin));
-      out->last_terminated = false;
-      break;
-    }
-    out->lines.push_back(content.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return true;
-}
-
-void check_header(const JsonValue& header, const char* magic_key,
-                  std::uint64_t fingerprint, const std::string& source) {
-  const std::string& magic = string_member(header, magic_key, source, 1);
-  if (magic != "tvnep-serve")
-    throw ParseError(source, 1, 0, "not a tvnep-serve state file");
-  const auto version =
-      static_cast<int>(number_member(header, "version", source, 1));
-  if (version != kWalVersion)
-    throw ParseError(source, 1, 0,
-                     "state format version " + std::to_string(version) +
-                         " (this build reads " + std::to_string(kWalVersion) +
-                         ")");
-  const std::string& hex = string_member(header, "fingerprint", source, 1);
-  if (hex != fingerprint_hex(fingerprint))
-    throw ParseError(source, 1, 0,
-                     "config fingerprint " + hex + " does not match " +
-                         fingerprint_hex(fingerprint) +
-                         " (substrate or admission options changed; refusing "
-                         "to resume)");
-}
-
 /// Loads one snapshot generation. Returns false on damage (caller falls
 /// back to an older generation); throws ParseError on a fingerprint or
 /// format-version mismatch (an incompatible resume must be refused, not
 /// silently ignored).
 bool load_snapshot(const std::string& path, std::uint64_t fingerprint,
                    AdmissionEngine::Snapshot* out) {
-  FileLines file;
-  if (!read_lines(path, &file) || file.lines.empty()) return false;
+  JournalLines file;
+  if (!read_journal_lines(path, &file) || file.lines.empty()) return false;
   JsonValue header;
   try {
     header = parse_json(file.lines[0], path, 1);
   } catch (const ParseError&) {
     return false;  // damaged header: try an older generation
   }
-  check_header(header, "snapshot", fingerprint, path);
+  check_journal_header(header, kSnapshotFormat, fingerprint, path);
   try {
     AdmissionEngine::Snapshot state;
     state.version = uint_member(header, "engine_version", path, 1);
@@ -394,12 +347,6 @@ bool load_snapshot(const std::string& path, std::uint64_t fingerprint,
 }
 
 }  // namespace
-
-std::string wal_number(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 std::string encode_commit(const Commit& commit) {
   const net::VnetRequest& request = commit.original;
@@ -445,34 +392,39 @@ Commit decode_commit(const JsonValue& value, const std::string& source,
   commit.start = number_member(value, "start", source, line);
   commit.end = number_member(value, "end", source, line);
   const JsonValue& req = member(value, "req", source, line);
-  net::VnetRequest request(string_member(req, "name", source, line));
-  for (const JsonValue& demand : array_member(req, "nodes", source, line)) {
-    if (!demand.is_number())
-      throw ParseError(source, line, 0, "node demand is not a number");
-    request.add_node(demand.as_number());
+  try {
+    net::VnetRequest request(string_member(req, "name", source, line));
+    for (const JsonValue& demand : array_member(req, "nodes", source, line)) {
+      if (!demand.is_number())
+        throw ParseError(source, line, 0, "node demand is not a number");
+      request.add_node(demand.as_number());
+    }
+    for (const JsonValue& link : array_member(req, "links", source, line)) {
+      if (!link.is_array() || link.as_array().size() != 3 ||
+          !link.as_array()[2].is_number())
+        throw ParseError(source, line, 0,
+                         "virtual link is not [from,to,demand]");
+      request.add_link(
+          to_int(link.as_array()[0], "link endpoint", source, line),
+          to_int(link.as_array()[1], "link endpoint", source, line),
+          link.as_array()[2].as_number());
+    }
+    request.set_temporal(number_member(req, "ts", source, line),
+                         number_member(req, "te", source, line),
+                         number_member(req, "d", source, line));
+    commit.original = std::move(request);
+  } catch (const ParseError&) {
+    throw;
+  } catch (const CheckError& e) {
+    // The request's own invariants (demands, link endpoints, window).
+    throw ParseError(source, line, 0, e.what());
   }
-  for (const JsonValue& link : array_member(req, "links", source, line)) {
-    if (!link.is_array() || link.as_array().size() != 3 ||
-        !link.as_array()[0].is_number() || !link.as_array()[1].is_number() ||
-        !link.as_array()[2].is_number())
-      throw ParseError(source, line, 0, "virtual link is not [from,to,demand]");
-    request.add_link(static_cast<int>(link.as_array()[0].as_number()),
-                     static_cast<int>(link.as_array()[1].as_number()),
-                     link.as_array()[2].as_number());
-  }
-  request.set_temporal(number_member(req, "ts", source, line),
-                       number_member(req, "te", source, line),
-                       number_member(req, "d", source, line));
-  commit.original = std::move(request);
   if (const JsonValue* map = value.find("map")) {
     if (!map->is_array())
       throw ParseError(source, line, 0, "\"map\" is not an array");
     std::vector<net::NodeId> mapping;
-    for (const JsonValue& node : map->as_array()) {
-      if (!node.is_number())
-        throw ParseError(source, line, 0, "mapping entry is not a number");
-      mapping.push_back(static_cast<net::NodeId>(node.as_number()));
-    }
+    for (const JsonValue& node : map->as_array())
+      mapping.push_back(to_int(node, "mapping entry", source, line));
     commit.mapping = std::move(mapping);
   }
   commit.embedding =
@@ -521,7 +473,6 @@ core::ValidationResult validate_commit_state(
 std::unique_ptr<Wal> Wal::open(const std::string& dir,
                                std::uint64_t fingerprint, WalOptions options,
                                RecoveredState* recovered) {
-  namespace fs = std::filesystem;
   std::unique_ptr<Wal> wal(new Wal);
   wal->dir_ = dir;
   wal->log_path_ = dir + "/" + kLogName;
@@ -529,27 +480,19 @@ std::unique_ptr<Wal> Wal::open(const std::string& dir,
   wal->options_ = std::move(options);
 
   std::error_code ec;
-  fs::create_directories(dir, ec);
+  std::filesystem::create_directories(dir, ec);
   TVNEP_REQUIRE(!ec, "cannot create state dir " + dir);
 
   RecoveredState result;
 
-  // 1. Newest valid snapshot. Fixed-width hex tags make the lexicographic
-  // sort the txid sort; a damaged generation falls back to the previous
-  // one, an incompatible one (fingerprint/format) refuses via ParseError.
-  std::vector<std::string> snapshots;
+  // 1. Newest valid snapshot. A damaged generation falls back to the
+  // previous one, an incompatible one (fingerprint/format) refuses via
+  // ParseError.
+  const std::vector<std::string> snapshots = snapshot_names(dir);
   std::uint64_t max_snapshot_tag = 0;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("snapshot-", 0) == 0 &&
-        name.size() > std::string("snapshot-.state").size() &&
-        name.substr(name.size() - 6) == ".state") {
-      snapshots.push_back(name);
-      max_snapshot_tag = std::max<std::uint64_t>(
-          max_snapshot_tag, std::strtoull(name.c_str() + 9, nullptr, 16));
-    }
-  }
-  std::sort(snapshots.rbegin(), snapshots.rend());
+  for (const std::string& name : snapshots)
+    max_snapshot_tag = std::max<std::uint64_t>(
+        max_snapshot_tag, std::strtoull(name.c_str() + 9, nullptr, 16));
   for (const std::string& name : snapshots) {
     result.had_state = true;
     if (load_snapshot(dir + "/" + name, fingerprint, &result.state)) {
@@ -558,62 +501,38 @@ std::unique_ptr<Wal> Wal::open(const std::string& dir,
     }
   }
 
-  // 2. Replay the log tail. A record is applied iff its
-  // (decisions, version) pair postdates the state built so far; the final
-  // line may be torn (crash mid-append) and is then dropped and repaired
-  // on disk. Corruption anywhere else is real damage and refuses.
+  // 2. Replay the log tail under the journal's torn-tail rule
+  // (support/journal). A record is applied iff its (decisions, version)
+  // pair postdates the state built so far.
   std::uint64_t last_txid = 0;
-  bool torn = false;
-  FileLines log;
-  if (read_lines(wal->log_path_, &log) && !log.lines.empty()) {
+  const JournalReplay replay = replay_journal(
+      wal->log_path_, kLogFormat, fingerprint,
+      [&](const JsonValue& record, long line) {
+        const std::uint64_t txid =
+            uint_member(record, "txid", wal->log_path_, line);
+        if (txid <= last_txid && last_txid != 0)
+          throw ParseError(wal->log_path_, line, 0, "txid not increasing");
+        last_txid = txid;
+        const std::uint64_t decisions =
+            uint_member(record, "decisions", wal->log_path_, line);
+        const std::uint64_t version =
+            uint_member(record, "version", wal->log_path_, line);
+        if (record_after_state(result.state, decisions, version)) {
+          apply_record(&result.state, record, wal->log_path_, line);
+          ++wal->stats_.replayed;
+        }
+      });
+  const bool torn = replay.torn_line > 0;
+  if (replay.found) {
     result.had_state = true;
-    check_header(parse_json(log.lines[0], wal->log_path_, 1), "wal",
-                 fingerprint, wal->log_path_);
-    std::vector<std::string> surviving(log.lines.begin(), log.lines.begin() + 1);
-    for (std::size_t i = 1; i < log.lines.size(); ++i) {
-      const long line = static_cast<long>(i) + 1;
-      const bool last = i + 1 == log.lines.size();
-      if (log.lines[i].empty() && last) break;  // trailing newline artifact
-      JsonValue record;
-      try {
-        record = parse_json(log.lines[i], wal->log_path_, line);
-      } catch (const ParseError&) {
-        if (!last) throw;
-        torn = true;
-        break;
-      }
-      if (last && !log.last_terminated) {
-        // Fully parseable but unterminated: the append's write() never
-        // completed, so the decision was never acknowledged. Drop it.
-        torn = true;
-        break;
-      }
-      const std::uint64_t txid =
-          uint_member(record, "txid", wal->log_path_, line);
-      if (txid <= last_txid && last_txid != 0)
-        throw ParseError(wal->log_path_, line, 0, "txid not increasing");
-      last_txid = txid;
-      const std::uint64_t decisions =
-          uint_member(record, "decisions", wal->log_path_, line);
-      const std::uint64_t version =
-          uint_member(record, "version", wal->log_path_, line);
-      if (record_after_state(result.state, decisions, version)) {
-        apply_record(&result.state, record, wal->log_path_, line);
-        ++wal->stats_.replayed;
-      }
-      surviving.push_back(log.lines[i]);
-    }
     if (torn) {
-      std::string repaired;
-      for (const std::string& line : surviving) repaired += line + "\n";
-      TVNEP_REQUIRE(atomic_write_file(wal->log_path_, repaired),
-                    "cannot repair torn WAL tail at " + wal->log_path_);
       ++wal->stats_.torn_repaired;
       obs::counter_add("serve.wal.torn_repaired");
     }
   } else {
     TVNEP_REQUIRE(
-        atomic_write_file(wal->log_path_, log_header(fingerprint) + "\n"),
+        atomic_write_file(wal->log_path_,
+                          journal_header(kLogFormat, fingerprint) + "\n"),
         "cannot initialize WAL at " + wal->log_path_);
   }
   if (wal->stats_.replayed > 0)
@@ -796,16 +715,16 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
   }
   const std::uint64_t tag = next_txid_;
   AtomicFile file(dir_ + "/" + snapshot_name(tag));
-  file.stream() << "{\"snapshot\":\"tvnep-serve\",\"version\":" << kWalVersion
-                << ",\"fingerprint\":\"" << fingerprint_hex(fingerprint_)
-                << "\",\"txid\":" << tag
-                << ",\"engine_version\":" << state.version
-                << ",\"now\":" << wal_number(state.now)
-                << ",\"next_seq\":" << state.next_seq
-                << ",\"accepted\":" << state.accepted_total
-                << ",\"decisions\":" << state.decisions
-                << ",\"active\":" << state.commits.size()
-                << ",\"retired\":" << state.retired.size() << "}\n";
+  std::ostringstream extra;
+  extra << ",\"txid\":" << tag << ",\"engine_version\":" << state.version
+        << ",\"now\":" << wal_number(state.now)
+        << ",\"next_seq\":" << state.next_seq
+        << ",\"accepted\":" << state.accepted_total
+        << ",\"decisions\":" << state.decisions
+        << ",\"active\":" << state.commits.size()
+        << ",\"retired\":" << state.retired.size();
+  file.stream() << journal_header(kSnapshotFormat, fingerprint_, extra.str())
+                << "\n";
   for (const Commit& commit : state.commits)
     file.stream() << encode_commit(commit) << "\n";
   for (const Commit& commit : state.retired)
@@ -826,7 +745,8 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
   }
   // Compact: reset the log to a bare header and reopen the appender (the
   // rename left fd_ pointing at the replaced inode).
-  if (!atomic_write_file(log_path_, log_header(fingerprint_) + "\n")) {
+  if (!atomic_write_file(log_path_,
+                         journal_header(kLogFormat, fingerprint_) + "\n")) {
     ++stats_.io_errors;
     obs::counter_add("serve.wal.io_errors");
     return true;  // snapshot still landed
@@ -841,20 +761,12 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
   }
   unsynced_records_ = 0;
   // Prune old generations, newest options_.snapshots_kept survive.
-  namespace fs = std::filesystem;
+  const std::vector<std::string> names = snapshot_names(dir_);
   std::error_code ec;
-  std::vector<std::string> names;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("snapshot-", 0) == 0 &&
-        name.substr(std::max<std::size_t>(name.size(), 6) - 6) == ".state")
-      names.push_back(name);
-  }
-  std::sort(names.rbegin(), names.rend());
   for (std::size_t i = static_cast<std::size_t>(
            std::max(options_.snapshots_kept, 1));
        i < names.size(); ++i)
-    fs::remove(dir_ + "/" + names[i], ec);
+    std::filesystem::remove(dir_ + "/" + names[i], ec);
   if (fault_at("snapshot.after_compact") == WalFault::kCrash) dead_ = true;
   return true;
 }

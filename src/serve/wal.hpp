@@ -20,7 +20,8 @@
 // snapshot publish and log compaction is idempotent), drops a torn final
 // record and repairs it on disk, and refuses — via ParseError — a log or
 // snapshot whose FNV-1a config fingerprint does not match the serving
-// configuration. The caller then restores the engine from the recovered
+// configuration. Header, line reader and torn-tail rule are
+// support/journal's, shared with the sweep checkpoint journal. The caller then restores the engine from the recovered
 // state and re-validates capacity feasibility (validate_commit_state)
 // before serving; replaying the remaining trace through the recovered
 // engine yields decisions byte-identical to an uninterrupted run.
@@ -41,11 +42,10 @@
 #include <vector>
 
 #include "serve/admission.hpp"
+#include "support/json.hpp"
 #include "tvnep/solution.hpp"
 
 namespace tvnep::serve {
-
-class JsonValue;
 
 /// Injected fault at a named WAL point. kCrash stops all further bytes
 /// from reaching disk (the in-process analogue of dying at that instant);
@@ -162,9 +162,10 @@ class Wal {
 
 // ----- codec + recovery helpers (exposed for tests and --dump-state) -----
 
-/// %.17g: re-reads to the identical double, so recovered schedules and
-/// flows compare byte-exact against the uninterrupted run.
-std::string wal_number(double value);
+/// The WAL's number codec, support/json's exact writer: re-reads to the
+/// identical double, so recovered schedules and flows compare byte-exact
+/// against the uninterrupted run.
+inline std::string wal_number(double value) { return json_exact_number(value); }
 
 /// One commit as a JSON object (schedule, original request, mapping,
 /// stored embedding) — the record payload shared by WAL and snapshots.

@@ -1,11 +1,13 @@
-#include "serve/json.hpp"
+#include "support/json.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 
 #include "support/parse_error.hpp"
 
-namespace tvnep::serve {
+namespace tvnep {
 
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
@@ -50,6 +52,8 @@ JsonValue JsonValue::make_object(std::map<std::string, JsonValue> members) {
 
 namespace {
 
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   Parser(const std::string& text, const std::string& source, long line)
@@ -88,9 +92,15 @@ class Parser {
     if (pos_ >= text_.size()) fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // Recursion depth is stack depth: bound it, or one line of
+        // brackets overflows the stack of whatever thread reads it.
+        if (++depth_ > kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        JsonValue v = text_[pos_] == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"':
         return JsonValue::make_string(string());
       case 't':
@@ -292,6 +302,7 @@ class Parser {
   const std::string& source_;
   long line_ = 1;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -301,4 +312,46 @@ JsonValue parse_json(const std::string& text, const std::string& source,
   return Parser(text, source, line).run();
 }
 
-}  // namespace tvnep::serve
+std::optional<int> json_int(const JsonValue& value) {
+  if (!value.is_number()) return std::nullopt;
+  const double x = value.as_number();
+  if (!(x > -2147483649.0 && x < 2147483648.0) || x != std::floor(x))
+    return std::nullopt;
+  return static_cast<int>(x);
+}
+
+std::string json_escape(const std::string& value) {
+  std::string out;
+  out.reserve(value.size());
+  for (const char c : value) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string json_quote(const std::string& value) {
+  return '"' + json_escape(value) + '"';
+}
+
+std::string json_exact_number(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+}  // namespace tvnep

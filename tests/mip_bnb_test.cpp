@@ -319,6 +319,30 @@ TEST(BranchAndBound, IncumbentLandsExactlyOnScheduleBoundaries) {
   EXPECT_EQ(requests[1].end, 11.0);
 }
 
+TEST(BranchAndBound, LpIterationsCoverEveryPivotedSolve) {
+  // lp_pivots counts every LP solve of the tree, rounding dives and the
+  // incumbent polish included; the phase/dual iteration counts must cover
+  // the same solves (iterations are pivots plus bound flips), or the two
+  // *_cells.csv columns disagree. fig3's cell shape, seed 0, flex 0.
+  workload::WorkloadParams params;
+  params.num_requests = 4;
+  params.grid_rows = 2;
+  params.grid_cols = 3;
+  params.star_leaves = 2;
+  params.node_capacity = 3.5;
+  params.link_capacity = 5.0;
+  params.seed = 1;
+  const net::TvnepInstance instance =
+      workload::generate_workload_with_flexibility(params, 0.0);
+  for (const core::ModelKind kind :
+       {core::ModelKind::kDelta, core::ModelKind::kCSigma}) {
+    const core::TvnepSolveResult result = core::solve(instance, kind, {});
+    ASSERT_TRUE(result.has_solution) << core::to_string(kind);
+    EXPECT_GT(result.lp_pivots, 0) << core::to_string(kind);
+    EXPECT_GE(result.lp_iterations, result.lp_pivots) << core::to_string(kind);
+  }
+}
+
 // B&B termination must evaluate the SAME normalized
 // gap as MipResult::gap() reports. A large objective constant makes the
 // raw bound difference (0.5) tiny relative to the objective; the solver

@@ -7,9 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -22,163 +20,23 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/tree_log.hpp"
+#include "support/json.hpp"
+#include "support/parse_error.hpp"
 #include "tvnep/solver.hpp"
 #include "workload/generator.hpp"
 
 namespace tvnep {
 namespace {
 
-// ---- a minimal JSON reader (just enough for our own exports) -----------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool is(Kind k) const { return kind == k; }
-  const JsonValue* find(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool parse(JsonValue* out) {
-    pos_ = 0;
-    if (!value(out)) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  bool literal(const char* word, std::size_t len) {
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
+// Parses `text` with the repo's JSON reader; false when it is malformed.
+bool parse(const std::string& text, JsonValue* out) {
+  try {
+    *out = parse_json(text, "<golden>");
     return true;
+  } catch (const ParseError&) {
+    return false;
   }
-  bool value(JsonValue* out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return string(&out->string);
-    }
-    if (c == 't') { out->kind = JsonValue::Kind::kBool; out->boolean = true;
-                    return literal("true", 4); }
-    if (c == 'f') { out->kind = JsonValue::Kind::kBool; out->boolean = false;
-                    return literal("false", 5); }
-    if (c == 'n') { out->kind = JsonValue::Kind::kNull;
-                    return literal("null", 4); }
-    return number(out);
-  }
-  bool number(JsonValue* out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
-    bool digits = false;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      digits = true;
-      ++pos_;
-    }
-    if (!digits) return false;
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = std::stod(text_.substr(start, pos_ - start));
-    return true;
-  }
-  bool string(std::string* out) {
-    if (text_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        switch (text_[pos_]) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) return false;
-            pos_ += 4;  // keep the escape opaque; content is not asserted on
-            out->push_back('?');
-            break;
-          }
-          default: return false;
-        }
-        ++pos_;
-      } else {
-        out->push_back(text_[pos_++]);
-      }
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool array(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') { ++pos_; return true; }
-    while (true) {
-      JsonValue element;
-      if (!value(&element)) return false;
-      out->array.push_back(std::move(element));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') { ++pos_; continue; }
-      if (text_[pos_] == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool object(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= text_.size() || !string(&key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      JsonValue element;
-      if (!value(&element)) return false;
-      out->object.emplace(std::move(key), std::move(element));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') { ++pos_; continue; }
-      if (text_[pos_] == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+}
 
 // ctest runs every test case as its own process in one shared working
 // directory, so a fixed file name there races under `ctest -j`. Each
@@ -265,15 +123,15 @@ const SolvedFixture& fixture() {
 
 TEST(ObsTraceGolden, ChromeTraceIsValidJsonWithSaneTimestamps) {
   JsonValue root;
-  ASSERT_TRUE(JsonParser(fixture().chrome_json).parse(&root));
-  ASSERT_TRUE(root.is(JsonValue::Kind::kObject));
+  ASSERT_TRUE(parse(fixture().chrome_json, &root));
+  ASSERT_TRUE(root.is_object());
   const JsonValue* events = root.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is(JsonValue::Kind::kArray));
-  ASSERT_FALSE(events->array.empty());
+  ASSERT_TRUE(events->is_array());
+  ASSERT_FALSE(events->as_array().empty());
 
-  for (const JsonValue& e : events->array) {
-    ASSERT_TRUE(e.is(JsonValue::Kind::kObject));
+  for (const JsonValue& e : events->as_array()) {
+    ASSERT_TRUE(e.is_object());
     const JsonValue* name = e.find("name");
     const JsonValue* ph = e.find("ph");
     const JsonValue* ts = e.find("ts");
@@ -284,31 +142,31 @@ TEST(ObsTraceGolden, ChromeTraceIsValidJsonWithSaneTimestamps) {
     ASSERT_NE(ts, nullptr);
     ASSERT_NE(pid, nullptr);
     ASSERT_NE(tid, nullptr);
-    EXPECT_TRUE(ts->is(JsonValue::Kind::kNumber));
-    EXPECT_GE(ts->number, 0.0);
-    if (ph->string == "X") {
+    EXPECT_TRUE(ts->is_number());
+    EXPECT_GE(ts->as_number(), 0.0);
+    if (ph->as_string() == "X") {
       const JsonValue* dur = e.find("dur");
       ASSERT_NE(dur, nullptr);
-      EXPECT_GE(dur->number, 0.0);
+      EXPECT_GE(dur->as_number(), 0.0);
     } else {
-      EXPECT_EQ(ph->string, "i");
+      EXPECT_EQ(ph->as_string(), "i");
     }
   }
 }
 
 TEST(ObsTraceGolden, SpansAreWellNestedPerThread) {
   JsonValue root;
-  ASSERT_TRUE(JsonParser(fixture().chrome_json).parse(&root));
+  ASSERT_TRUE(parse(fixture().chrome_json, &root));
   const JsonValue* events = root.find("traceEvents");
   ASSERT_NE(events, nullptr);
 
   struct Span { double ts; double end; };
   std::map<double, std::vector<Span>> by_tid;
-  for (const JsonValue& e : events->array) {
-    if (e.find("ph")->string != "X") continue;
-    by_tid[e.find("tid")->number].push_back(
-        {e.find("ts")->number,
-         e.find("ts")->number + e.find("dur")->number});
+  for (const JsonValue& e : events->as_array()) {
+    if (e.find("ph")->as_string() != "X") continue;
+    by_tid[e.find("tid")->as_number()].push_back(
+        {e.find("ts")->as_number(),
+         e.find("ts")->as_number() + e.find("dur")->as_number()});
   }
   for (auto& [tid, spans] : by_tid) {
     std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
@@ -341,7 +199,7 @@ TEST(ObsTraceGolden, ExpectedSpanNamesAppear) {
   std::size_t lines = 0;
   while (std::getline(jsonl, line)) {
     JsonValue value;
-    EXPECT_TRUE(JsonParser(line).parse(&value)) << line;
+    EXPECT_TRUE(parse(line, &value)) << line;
     ++lines;
   }
   EXPECT_GT(lines, 0u);
@@ -359,36 +217,35 @@ TEST(ObsTraceGolden, TreeLogRecordsMatchSchemaAndBoundIsMonotone) {
   double prev_bound = 0.0;
   for (const std::string& line : fixture().tree_lines) {
     JsonValue record;
-    ASSERT_TRUE(JsonParser(line).parse(&record)) << line;
-    ASSERT_TRUE(record.is(JsonValue::Kind::kObject));
+    ASSERT_TRUE(parse(line, &record)) << line;
+    ASSERT_TRUE(record.is_object());
     for (const char* key :
          {"node", "depth", "lp_status", "lp_pivots", "branch_var",
           "incumbent_updated", "incumbent", "global_bound", "open_nodes",
           "seconds", "sense", "ctx"}) {
       EXPECT_NE(record.find(key), nullptr) << "missing " << key << ": " << line;
     }
-    EXPECT_EQ(record.find("ctx")->string, "golden");
-    const std::string sense = record.find("sense")->string;
+    EXPECT_EQ(record.find("ctx")->as_string(), "golden");
+    const std::string sense = record.find("sense")->as_string();
     // The cΣ access-control objective maximizes.
     EXPECT_EQ(sense, "max");
-    seen_nodes.push_back(static_cast<long>(record.find("node")->number));
-    EXPECT_GE(record.find("seconds")->number, 0.0);
-    EXPECT_GE(record.find("open_nodes")->number, 0.0);
+    seen_nodes.push_back(static_cast<long>(record.find("node")->as_number()));
+    EXPECT_GE(record.find("seconds")->as_number(), 0.0);
+    EXPECT_GE(record.find("open_nodes")->as_number(), 0.0);
 
     const JsonValue* bound = record.find("global_bound");
-    if (bound->is(JsonValue::Kind::kNumber)) {
+    if (bound->is_number()) {
       if (have_prev_bound) {
         // Maximization: the proven bound never increases.
-        EXPECT_LE(bound->number, prev_bound + 1e-9) << line;
+        EXPECT_LE(bound->as_number(), prev_bound + 1e-9) << line;
       }
       have_prev_bound = true;
-      prev_bound = bound->number;
+      prev_bound = bound->as_number();
     }
     // The bound must dominate the incumbent (maximization: bound >= inc).
     const JsonValue* inc = record.find("incumbent");
-    if (bound->is(JsonValue::Kind::kNumber) &&
-        inc->is(JsonValue::Kind::kNumber)) {
-      EXPECT_GE(bound->number, inc->number - 1e-6) << line;
+    if (bound->is_number() && inc->is_number()) {
+      EXPECT_GE(bound->as_number(), inc->as_number() - 1e-6) << line;
     }
   }
   // Node ids are unique per solve.
@@ -436,15 +293,15 @@ TEST(ObsTraceGolden, MinimizationBoundIsNonDecreasing) {
   while (std::getline(in, line)) {
     ++records;
     JsonValue record;
-    ASSERT_TRUE(JsonParser(line).parse(&record)) << line;
-    EXPECT_EQ(record.find("sense")->string, "min");
+    ASSERT_TRUE(parse(line, &record)) << line;
+    EXPECT_EQ(record.find("sense")->as_string(), "min");
     const JsonValue* bound = record.find("global_bound");
-    if (bound->is(JsonValue::Kind::kNumber)) {
+    if (bound->is_number()) {
       if (have_prev) {
-        EXPECT_GE(bound->number, prev - 1e-9) << line;
+        EXPECT_GE(bound->as_number(), prev - 1e-9) << line;
       }
       have_prev = true;
-      prev = bound->number;
+      prev = bound->as_number();
     }
   }
   EXPECT_GT(records, 0u);

@@ -189,5 +189,50 @@ TEST(ServeProtocol, EncodesDecisionsErrorsAndBye) {
   EXPECT_NO_THROW(parse_json(encode_stats("\"active\":3"), "t"));
 }
 
+TEST(ServeProtocol, RequestsTheEngineCannotHoldAreParseErrors) {
+  // net::VnetRequest refuses both with a CheckError, which would escape
+  // the daemon's reader thread and abort it; the parser must catch them.
+  EXPECT_THROW(
+      parse_message(R"({"type":"request","id":"a","t_s":0,"t_e":2,"d":1,)"
+                    R"("nodes":[1,1],"links":[[0,0,1]]})",
+                    "t"),
+      ParseError);
+  EXPECT_THROW(
+      parse_message(
+          R"({"type":"request","id":"a","t_s":-1,"t_e":2,"d":1,"nodes":[1]})",
+          "t"),
+      ParseError);
+}
+
+TEST(ServeProtocol, NonDyadicValuesRoundTripBitExactly) {
+  // The daemon must admit exactly the request offline replay of the same
+  // trace sees, so times and demands cross the wire without rounding.
+  RequestMessage message;
+  message.id = "R3";
+  net::VnetRequest request("R3");
+  request.add_node(0.1);
+  request.add_node(2.0 / 3.0);
+  request.add_link(0, 1, 0.7);
+  request.set_temporal(1000.0 / 3.0, 1000.0 / 3.0 + 4.1, 1.0 / 7.0);
+  message.request = std::move(request);
+  const RequestMessage got =
+      parse_message(encode_request(message), "t").request;
+  EXPECT_EQ(got.request.earliest_start(), message.request.earliest_start());
+  EXPECT_EQ(got.request.latest_end(), message.request.latest_end());
+  EXPECT_EQ(got.request.duration(), message.request.duration());
+  EXPECT_EQ(got.request.node_demand(0), 0.1);
+  EXPECT_EQ(got.request.node_demand(1), 2.0 / 3.0);
+  EXPECT_EQ(got.request.link(0).demand, 0.7);
+
+  Decision decision;
+  decision.id = "R3";
+  decision.accepted = true;
+  decision.start = 1000.0 / 3.0;
+  decision.end = 1000.0 / 3.0 + 1.0 / 7.0;
+  const JsonValue line = parse_json(encode_decision(decision), "t");
+  EXPECT_EQ(line.find("start")->as_number(), decision.start);
+  EXPECT_EQ(line.find("end")->as_number(), decision.end);
+}
+
 }  // namespace
 }  // namespace tvnep::serve
