@@ -76,18 +76,34 @@ inline void apply_quick_defaults(const eval::Args& args,
   if (!args.has("flex-max") && !paper) config.flexibilities = flexibilities;
 }
 
+/// Refuses a flag the bench never read — a typo, or an option that no
+/// longer exists — with `error: unknown flag --<name>` and exit code 2,
+/// as a refused resume does. `--quiet` counts as read: every sweep bench
+/// accepts it, even one without per-cell output.
+inline void reject_unknown_flags(const eval::Args& args) {
+  quiet(args);
+  const std::vector<std::string> unknown = args.unused();
+  if (unknown.empty()) return;
+  for (const std::string& name : unknown)
+    std::cerr << "error: unknown flag --" << name << '\n';
+  std::exit(2);
+}
+
 /// Wires the crash-safety flags shared by every sweep bench:
 ///   --checkpoint PATH  journal every completed cell to PATH (fresh file)
 ///   --resume PATH      load PATH, skip journaled cells, keep appending
 /// Must run AFTER apply_quick_defaults/flag overrides so the journal
 /// fingerprint covers the final sweep configuration — resuming under
 /// different flags is refused with a structured error. `bench_id` keys the
-/// fingerprint so a fig4 journal cannot be resumed into fig3.
+/// fingerprint so a fig4 journal cannot be resumed into fig3. It is every
+/// sweep bench's last flag read, so it refuses unknown flags here, before
+/// `--checkpoint` can overwrite an existing journal.
 inline void attach_resilience(const eval::Args& args,
                               eval::SweepConfig& config,
                               const std::string& bench_id) {
   const std::string resume = args.get_string("resume", "");
   const std::string checkpoint = args.get_string("checkpoint", "");
+  reject_unknown_flags(args);
   if (resume.empty() && checkpoint.empty()) return;
   const std::uint64_t fingerprint =
       eval::sweep_fingerprint(config, bench_id);

@@ -115,45 +115,6 @@ BENCHMARK(BM_SimplexBasisBackend)
     ->Args({400, 1})
     ->Unit(benchmark::kMillisecond);
 
-// The fixed-column pricing pair (bugfix: Dantzig pricing used to rescan
-// fixed lb == ub columns on every pass). 90% of the columns are fixed at
-// zero — the shape presolve's variable fixing hands the node LPs. Arg 0 is
-// the default candidate-list pricing that drops fixed columns once per
-// solve attempt; arg 1 re-enables the historical scan-everything behavior
-// via SimplexOptions::price_fixed_columns.
-void BM_SimplexFixedColumnPricing(benchmark::State& state) {
-  const int n = 500;
-  Rng rng(11);
-  lp::Problem p;
-  for (int j = 0; j < n; ++j) {
-    const double upper = j % 10 == 0 ? 5.0 : 0.0;  // 90% fixed at 0
-    p.add_column(0.0, upper, static_cast<double>(rng.uniform_int(-5, 5)));
-  }
-  for (int i = 0; i < n / 2; ++i) {
-    std::vector<std::pair<int, double>> coeffs;
-    for (int j = 0; j < n; ++j)
-      if (rng.uniform01() < 0.3)
-        coeffs.emplace_back(j, static_cast<double>(rng.uniform_int(-3, 3)));
-    p.add_row(-lp::kInfinity, static_cast<double>(rng.uniform_int(1, 10)),
-              coeffs);
-  }
-  p.finalize();
-  lp::SimplexOptions options;
-  // Full-scan Dantzig so both arms walk the identical pivot sequence (the
-  // partial-pricing window scales with the candidate count and would
-  // otherwise change the path); the delta is the pure scan overhead.
-  options.pricing = lp::PricingRule::kDantzig;
-  options.price_fixed_columns = state.range(0) != 0;
-  for (auto _ : state) {
-    lp::Simplex s(p, options);
-    benchmark::DoNotOptimize(s.solve());
-  }
-}
-BENCHMARK(BM_SimplexFixedColumnPricing)
-    ->ArgNames({"price_fixed"})
-    ->Arg(0)
-    ->Arg(1);
-
 void BM_MipKnapsack(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(7);

@@ -58,15 +58,6 @@ SweepConfig sweep_from_args(const Args& args, int default_requests,
   if (basis == "sparse") config.lp_basis = lp::BasisBackend::kSparseLu;
   else if (basis == "dense") config.lp_basis = lp::BasisBackend::kDenseInverse;
   else TVNEP_REQUIRE(false, "--basis must be 'sparse' or 'dense'");
-  const std::string pricing = args.get_string("pricing", "partial");
-  if (pricing == "partial")
-    config.lp_pricing = lp::PricingRule::kPartialDantzig;
-  else if (pricing == "dantzig")
-    config.lp_pricing = lp::PricingRule::kDantzig;
-  else if (pricing == "devex")
-    config.lp_pricing = lp::PricingRule::kDevex;
-  else
-    TVNEP_REQUIRE(false, "--pricing must be 'partial', 'dantzig' or 'devex'");
   config.lp_fault_period = args.get_int("lp-fault-period", 0);
   config.lp_fault_burst = args.get_int("lp-fault-burst", 1);
   TVNEP_REQUIRE(config.lp_fault_period >= 0,
@@ -288,7 +279,6 @@ void apply_lp_resilience(const SweepConfig& config, lp::SimplexOptions& lp,
                          int attempt) {
   lp.scaling = config.lp_scaling;
   lp.basis = config.lp_basis;
-  lp.pricing = config.lp_pricing;
   if (config.lp_fault_period <= 0) return;
   auto counter = std::make_shared<long>(0);
   long period = config.lp_fault_period;

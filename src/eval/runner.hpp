@@ -48,12 +48,10 @@ struct SweepConfig {
   int threads = 0;                      // workers; 0 → hardware_parallelism()
   bool presolve = true;                 // MIP presolve (`--no-presolve`)
   bool lp_scaling = true;               // LP equilibration (`--no-lp-scaling`)
-  // LP basis backend (`--basis sparse|dense`) and primal pricing rule
-  // (`--pricing partial|dantzig|devex`) for every cell's node LPs. CI's
-  // basis-matrix leg runs the same sweep under both backends and diffs the
-  // resulting CSVs.
+  // LP basis backend (`--basis sparse|dense`) for every cell's node LPs.
+  // CI's basis-matrix leg runs the same sweep under both backends and
+  // diffs the resulting CSVs.
   lp::BasisBackend lp_basis = lp::BasisBackend::kSparseLu;
-  lp::PricingRule lp_pricing = lp::PricingRule::kPartialDantzig;
   // Deterministic LP fault injection (`--lp-fault-period N`): every cell
   // gets its own hook that fails `lp_fault_burst` consecutive simplex
   // iterations out of every `lp_fault_period` hook consultations — burst 1
@@ -97,7 +95,7 @@ struct SweepConfig {
 ///   --no-dependency-cuts --no-pairwise-cuts --no-presolve --paper-scale
 ///   --no-lp-scaling --lp-fault-period N --lp-fault-burst B
 ///   --cell-timeout SEC --cell-retries N
-///   --basis sparse|dense --pricing partial|dantzig|devex
+///   --basis sparse|dense
 SweepConfig sweep_from_args(const Args& args, int default_requests,
                             int default_rows, int default_cols,
                             int default_leaves);

@@ -1,7 +1,6 @@
 #include "greedy/greedy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "support/check.hpp"
@@ -9,50 +8,6 @@
 #include "tvnep/solver.hpp"
 
 namespace tvnep::greedy {
-
-namespace {
-
-// MIP start times carry simplex-level noise (the solver may return
-// 8 - 2e-15 where the binding event is exactly 8). Pinning such a schedule
-// poisons every later step: the noisy boundary opens a phantom sliver of
-// overlap with the neighboring request, and the sliver makes an otherwise
-// feasible step MIP infeasible. Snap the target's start to the nearest
-// event anchor — its own window bounds, or a boundary another request's
-// schedule can induce — whenever one lies within kSnapTol.
-constexpr double kSnapTol = 1e-6;
-
-double snap_step_start(const net::TvnepInstance& working, int target,
-                       double start) {
-  const net::VnetRequest& req = working.request(target);
-  double best = start;
-  double best_gap = kSnapTol;
-  const auto consider = [&](double anchor) {
-    if (anchor < req.earliest_start() - kSnapTol ||
-        anchor > req.latest_start() + kSnapTol)
-      return;
-    const double gap = std::abs(anchor - start);
-    if (gap < best_gap) {
-      best_gap = gap;
-      best = anchor;
-    }
-  };
-  consider(req.earliest_start());
-  consider(req.latest_start());
-  for (int r = 0; r < working.num_requests(); ++r) {
-    if (r == target) continue;
-    const net::VnetRequest& other = working.request(r);
-    // Start right at the other's earliest/latest end...
-    consider(other.earliest_start() + other.duration());
-    consider(other.latest_end());
-    // ...or end right at the other's earliest/latest start.
-    consider(other.earliest_start() - req.duration());
-    consider(other.latest_end() - other.duration() - req.duration());
-  }
-  // Never snap outside the window itself.
-  return std::min(std::max(best, req.earliest_start()), req.latest_start());
-}
-
-}  // namespace
 
 double GreedyResult::max_iteration_seconds() const {
   double worst = 0.0;
@@ -78,11 +33,9 @@ GreedyStepResult solve_greedy_step_mip(const net::TvnepInstance& working,
   result.step = core::solve(working, core::ModelKind::kCSigma, params);
   result.decided = result.step.has_solution;
   if (result.step.has_solution) {
-    auto& emb =
+    const auto& emb =
         result.step.solution.requests[static_cast<std::size_t>(target)];
     if (emb.accepted) {
-      emb.start = snap_step_start(working, target, emb.start);
-      emb.end = emb.start + working.request(target).duration();
       result.embedded.resize(static_cast<std::size_t>(working.num_requests()));
       std::iota(result.embedded.begin(), result.embedded.end(), 0);
     }

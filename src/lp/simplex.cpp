@@ -286,13 +286,10 @@ void Simplex::rebuild_pricing() {
     // never visits them. Presolve substitutes input-fixed columns away
     // before the LP even reaches the solver; the ones excluded here are
     // branch-and-bound fixings applied through set_bounds.
-    if (!options_.price_fixed_columns && upper(v) - lower(v) < 1e-14)
-      continue;
+    if (upper(v) - lower(v) < 1e-14) continue;
     pricing_candidates_.push_back(v);
   }
   pricing_cursor_ = 0;
-  if (options_.pricing == PricingRule::kDevex)
-    devex_weights_.assign(static_cast<std::size_t>(total), 1.0);
 }
 
 int Simplex::price(Phase phase, const std::vector<double>& y, bool bland,
@@ -307,7 +304,6 @@ int Simplex::price(Phase phase, const std::vector<double>& y, bool bland,
   auto reduced = [&](int v, double* d_out) -> double {
     const VarStatus st = status_[static_cast<std::size_t>(v)];
     if (st == VarStatus::kBasic) return 0.0;
-    if (upper(v) - lower(v) < 1e-14) return 0.0;  // fixed
     const double c = (phase == Phase::kPhase2) ? var_cost(v) : 0.0;
     const double d = c - column_dot(v, y);
     double dir = 0.0;
@@ -332,36 +328,11 @@ int Simplex::price(Phase phase, const std::vector<double>& y, bool bland,
     return -1;
   }
 
-  if (options_.pricing == PricingRule::kDevex) {
-    int best = -1;
-    double best_score = 0.0;
-    double best_dir = 0.0;
-    for (const int v : pricing_candidates_) {
-      double d = 0.0;
-      const double dir = reduced(v, &d);
-      if (dir == 0.0) continue;
-      const double w =
-          std::max(devex_weights_[static_cast<std::size_t>(v)], 1e-12);
-      const double score = d * d / w;
-      if (best < 0 || score > best_score) {
-        best_score = score;
-        best = v;
-        best_dir = dir;
-      }
-    }
-    *direction = best_dir;
-    return best;
-  }
-
-  // Dantzig scoring. kDantzig scans the whole candidate list; the partial
-  // rule scans rotating windows from the cursor and takes the best of the
-  // first window containing an admissible candidate, so an iteration
-  // typically prices a fraction of the columns. Optimality is only
-  // declared after a full-list scan finds nothing.
-  const std::size_t window =
-      options_.pricing == PricingRule::kDantzig
-          ? count
-          : std::max<std::size_t>(64, count / 8);
+  // Partial Dantzig: scan rotating windows from the cursor and take the
+  // best of the first window containing an admissible candidate, so an
+  // iteration typically prices a fraction of the columns. Optimality is
+  // only declared after a full-list scan finds nothing.
+  const std::size_t window = std::max<std::size_t>(64, count / 8);
   std::size_t scanned = 0;
   while (scanned < count) {
     const std::size_t chunk = std::min(window, count - scanned);
@@ -489,42 +460,6 @@ void Simplex::apply_bound_flip(int entering, double direction, double step,
   }
 }
 
-void Simplex::update_devex(int entering, int leaving_row,
-                           const std::vector<double>& alpha,
-                           std::vector<double>& rho) {
-  const int m = num_rows();
-  const double apiv = alpha[static_cast<std::size_t>(leaving_row)];
-  if (std::fabs(apiv) < 1e-12) return;
-  const double wq =
-      std::max(devex_weights_[static_cast<std::size_t>(entering)], 1.0);
-  const double inv_apiv2 = 1.0 / (apiv * apiv);
-  // rho = B^-T e_r of the *outgoing* basis gives the pivot row needed for
-  // the reference-weight propagation.
-  rho.assign(static_cast<std::size_t>(m), 0.0);
-  rho[static_cast<std::size_t>(leaving_row)] = 1.0;
-  factor_->btran(rho);
-  double max_weight = 0.0;
-  for (const int v : pricing_candidates_) {
-    const auto uv = static_cast<std::size_t>(v);
-    if (v == entering || status_[uv] == VarStatus::kBasic) continue;
-    const double arj = column_dot(v, rho);
-    if (arj != 0.0) {
-      const double cand = wq * arj * arj * inv_apiv2;
-      if (cand > devex_weights_[uv]) devex_weights_[uv] = cand;
-    }
-    max_weight = std::max(max_weight, devex_weights_[uv]);
-  }
-  const int leaving = basis_[static_cast<std::size_t>(leaving_row)];
-  devex_weights_[static_cast<std::size_t>(leaving)] =
-      std::max(wq * inv_apiv2, 1.0);
-  devex_weights_[static_cast<std::size_t>(entering)] = 1.0;
-  if (max_weight > 1e7) {
-    // Weights have drifted far from the reference framework: restart it.
-    std::fill(devex_weights_.begin(), devex_weights_.end(), 1.0);
-    obs::counter_add("lp.pricing.devex_resets");
-  }
-}
-
 bool Simplex::apply_basis_update(int leaving_row,
                                  const std::vector<double>& alpha) {
   if (options_.basis_update_fault_hook &&
@@ -543,8 +478,6 @@ bool Simplex::pivot(int entering, double direction, const RatioResult& ratio,
                     const std::vector<double>& alpha) {
   const int r = ratio.leaving_row;
   const int leaving = basis_[static_cast<std::size_t>(r)];
-  if (options_.pricing == PricingRule::kDevex)
-    update_devex(entering, r, alpha, devex_rho_);
   for (int i = 0; i < num_rows(); ++i) {
     const double a = alpha[static_cast<std::size_t>(i)];
     if (a == 0.0) continue;

@@ -9,9 +9,10 @@
 //
 // Provided algorithms:
 //  * primal simplex with a Phase-I infeasibility minimization (no big-M,
-//    no artificial variables), partial Dantzig pricing (full-scan Dantzig
-//    and Devex selectable via SimplexOptions::pricing) with a Bland
-//    fallback after degeneracy stalls;
+//    no artificial variables), partial Dantzig pricing over a rotating
+//    candidate window with a Bland fallback after degeneracy stalls
+//    (the one rule kept: full-scan Dantzig and Devex lost Σ wall time on
+//    the fig3 sweep, DESIGN.md §12);
 //  * dual simplex used to re-optimize after bound changes (branch & bound
 //    warm starts); it refuses to run when the current basis is not dual
 //    feasible, in which case the caller falls back to the primal.
@@ -71,14 +72,6 @@ enum class BasisBackend {
   kDenseInverse,   // historical explicit dense inverse (debug/reference)
 };
 
-/// Entering-variable selection rule for the primal phases. Bland's rule
-/// (degeneracy/recovery fallback) overrides whichever rule is configured.
-enum class PricingRule {
-  kPartialDantzig,  // Dantzig scoring over a rotating candidate window
-  kDantzig,         // classic full-scan Dantzig (historical behavior)
-  kDevex,           // Devex reference-framework weights, full scan
-};
-
 struct SimplexOptions {
   double feasibility_tol = 1e-7;
   double optimality_tol = 1e-7;
@@ -106,17 +99,10 @@ struct SimplexOptions {
   // Basis-maintenance backend (see BasisBackend). The dense inverse is
   // kept selectable so tests and benches can A/B the two implementations.
   BasisBackend basis = BasisBackend::kSparseLu;
-  // Primal pricing rule (see PricingRule).
-  PricingRule pricing = PricingRule::kPartialDantzig;
   // Eta updates the sparse backend absorbs before it forces a
   // refactorization. Ignored by the dense backend, whose product-form
   // update never degrades capacity.
   int refactor_interval = 64;
-  // Debug/bench escape hatch: keep fixed (lb == ub) columns in the pricing
-  // candidate list, as the historical full-scan pricing did. They can never
-  // profitably enter, so scanning them is pure overhead; micro_solver uses
-  // this flag for its before/after pricing pair.
-  bool price_fixed_columns = false;
   // Deterministic fault-injection seam (compiled always, null by default):
   // consulted once per simplex iteration with the lifetime pivot count; a
   // true return makes the current solve attempt fail numerically, exactly
@@ -285,9 +271,8 @@ class Simplex {
   void compute_duals_phase1(std::vector<double>& y) const;
   double infeasibility() const;
 
-  // Rebuilds the pricing candidate list (and Devex weights) for a solve
-  // attempt: every variable except those fixed by the working bounds
-  // (unless options_.price_fixed_columns keeps them for benchmarking).
+  // Rebuilds the pricing candidate list for a solve attempt: every
+  // variable except those fixed by the working bounds.
   void rebuild_pricing();
 
   // Returns entering variable (or -1) and its reduced cost / direction.
@@ -299,11 +284,6 @@ class Simplex {
 
   void apply_bound_flip(int entering, double direction, double step,
                         const std::vector<double>& alpha);
-  // Devex reference-weight maintenance; must run before the basis changes
-  // (it needs B^-T of the outgoing basis). `rho` is caller-owned scratch.
-  void update_devex(int entering, int leaving_row,
-                    const std::vector<double>& alpha,
-                    std::vector<double>& rho);
   // Performs the basis exchange; returns false when basis maintenance
   // failed beyond repair (update refused and refactorization failed too).
   bool pivot(int entering, double direction, const RatioResult& ratio,
@@ -364,12 +344,10 @@ class Simplex {
   bool has_basis_ = false;
 
   // Pricing state, rebuilt per solve attempt: candidate variable indices
-  // (ascending, fixed columns excluded), the rotating partial-pricing
-  // cursor, and the Devex reference weights.
+  // (ascending, fixed columns excluded) and the rotating partial-pricing
+  // cursor.
   std::vector<int> pricing_candidates_;
   mutable std::size_t pricing_cursor_ = 0;
-  std::vector<double> devex_weights_;
-  std::vector<double> devex_rho_;  // BTRAN scratch for weight updates
 
   double objective_ = 0.0;
   std::vector<double> duals_;

@@ -55,7 +55,6 @@ struct MipOptions {
   double integrality_tol = 1e-6;
   long max_nodes = 0;               // 0 → unlimited
   lp::SimplexOptions lp;
-  bool root_rounding_heuristic = true;
   // Dive-based rounding heuristic frequency (every N processed nodes);
   // 0 disables.
   long heuristic_frequency = 200;

@@ -3,9 +3,9 @@
 // restart never forfeits admitted revenue.
 //
 // Contract. Every engine state transition — a decision (commit accepted,
-// with its event-anchored schedule, mapping and refreshed component
-// flows; or a reject that advanced the virtual clock / retired a GC'd
-// component), and a version-checked reoptimizer install — is appended to
+// with its schedule, mapping and refreshed component flows; or a reject
+// that advanced the virtual clock / retired a GC'd component), and a
+// version-checked reoptimizer install — is appended to
 // `<state-dir>/wal.jsonl` and made durable *before* the triggering call
 // returns, hence before any acknowledgement reaches the wire. A record
 // is durable iff it is newline-terminated and parseable; the fsync mode

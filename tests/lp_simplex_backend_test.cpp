@@ -25,11 +25,9 @@ struct BackendRun {
   std::vector<double> duals;
 };
 
-BackendRun run_with(const Problem& p, BasisBackend backend,
-                    PricingRule pricing = PricingRule::kPartialDantzig) {
+BackendRun run_with(const Problem& p, BasisBackend backend) {
   SimplexOptions options;
   options.basis = backend;
-  options.pricing = pricing;
   Simplex s(p, options);
   BackendRun run;
   run.status = s.solve();
@@ -42,10 +40,9 @@ BackendRun run_with(const Problem& p, BasisBackend backend,
   return run;
 }
 
-void expect_equivalent(const Problem& p, const char* what,
-                       PricingRule pricing = PricingRule::kPartialDantzig) {
-  const BackendRun sparse = run_with(p, BasisBackend::kSparseLu, pricing);
-  const BackendRun dense = run_with(p, BasisBackend::kDenseInverse, pricing);
+void expect_equivalent(const Problem& p, const char* what) {
+  const BackendRun sparse = run_with(p, BasisBackend::kSparseLu);
+  const BackendRun dense = run_with(p, BasisBackend::kDenseInverse);
   ASSERT_EQ(sparse.status, dense.status)
       << what << ": sparse=" << to_string(sparse.status)
       << " dense=" << to_string(dense.status);
@@ -131,19 +128,6 @@ TEST(SimplexBackend, RandomLpsAgree) {
   EXPECT_GT(optimal, 60);  // the generator must exercise the optimal path
 }
 
-TEST(SimplexBackend, RandomLpsAgreeUnderEveryPricingRule) {
-  Rng rng(99);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int n = static_cast<int>(rng.uniform_int(2, 6));
-    const int m = static_cast<int>(rng.uniform_int(1, 5));
-    const Problem p = random_lp(rng, n, m);
-    expect_equivalent(p, "partial", PricingRule::kPartialDantzig);
-    expect_equivalent(p, "dantzig", PricingRule::kDantzig);
-    expect_equivalent(p, "devex", PricingRule::kDevex);
-    if (::testing::Test::HasFatalFailure()) FAIL() << "trial " << trial;
-  }
-}
-
 TEST(SimplexBackend, DegenerateLpAgrees) {
   // Heavily degenerate: the optimal vertex is over-determined (every row
   // is tight there and duplicated), so the basis walks through many
@@ -174,9 +158,8 @@ TEST(SimplexBackend, RankDeficientRowsAgree) {
 }
 
 TEST(SimplexBackend, FixedColumnsAgree) {
-  // Half the columns fixed (lb == ub): both the default candidate-list
-  // pricing and the scan-everything escape hatch must reach the same
-  // optimum under both backends.
+  // Half the columns fixed (lb == ub), so pricing skips them: both
+  // backends must reach the same optimum.
   Problem p;
   for (int j = 0; j < 6; ++j) {
     const bool fixed = j % 2 == 1;
@@ -187,13 +170,6 @@ TEST(SimplexBackend, FixedColumnsAgree) {
   p.add_row(2.0, kInfinity, {{0, 1.0}, {2, 1.0}, {4, 1.0}});
   p.finalize();
   expect_equivalent(p, "fixed columns");
-
-  SimplexOptions scan_all;
-  scan_all.price_fixed_columns = true;
-  Simplex s(p, scan_all);
-  ASSERT_EQ(s.solve(), SolveStatus::kOptimal);
-  const BackendRun reference = run_with(p, BasisBackend::kSparseLu);
-  EXPECT_NEAR(s.objective(), reference.objective, 1e-9);
 }
 
 TEST(SimplexBackend, TvnepRelaxationsAgree) {
