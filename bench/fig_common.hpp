@@ -76,17 +76,11 @@ inline void apply_quick_defaults(const eval::Args& args,
   if (!args.has("flex-max") && !paper) config.flexibilities = flexibilities;
 }
 
-/// Refuses a flag the bench never read — a typo, or an option that no
-/// longer exists — with `error: unknown flag --<name>` and exit code 2,
-/// as a refused resume does. `--quiet` counts as read: every sweep bench
-/// accepts it, even one without per-cell output.
+/// Args::reject_unknown_flags with `--quiet` counted as read: every sweep
+/// bench accepts it, even one without per-cell output.
 inline void reject_unknown_flags(const eval::Args& args) {
   quiet(args);
-  const std::vector<std::string> unknown = args.unused();
-  if (unknown.empty()) return;
-  for (const std::string& name : unknown)
-    std::cerr << "error: unknown flag --" << name << '\n';
-  std::exit(2);
+  args.reject_unknown_flags();
 }
 
 /// Wires the crash-safety flags shared by every sweep bench:

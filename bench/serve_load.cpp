@@ -12,8 +12,13 @@
 //              [--slo-window S] [--slo-budget F]
 //              [--emit-trace PATH]
 //              [--state-dir DIR] [--wal-fsync off|batch|every] [--wal-ab]
+//              [--rows R] [--cols C]
+//              [--trace F] [--trace-jsonl F] [--metrics F] [--tree-log F]
 //
 // `--scale K` runs K * 20 requests (the paper's evaluation uses 20).
+// `--max-step` defaults to the engine's own step cap
+// (AdmissionOptions::max_step_requests), the one the daemon uses. A flag
+// the bench does not know is refused with exit code 2.
 // Reoptimization runs synchronously every `--reopt-every` admissions so
 // the bench is deterministic; the daemon runs the same passes on a wall
 // clock interval thread instead.
@@ -279,13 +284,11 @@ int main(int argc, char** argv) {
   params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   params.grid_rows = args.get_int("rows", params.grid_rows);
   params.grid_cols = args.get_int("cols", params.grid_cols);
-
-  const workload::ArrivalTrace trace = workload::make_trace(params);
   const std::string trace_out = args.get_string("emit-trace", "");
-  if (!trace_out.empty()) workload::save_trace(trace, trace_out);
 
   serve::AdmissionOptions admission;
-  admission.max_step_requests = args.get_int("max-step", 24);
+  admission.max_step_requests =
+      args.get_int("max-step", admission.max_step_requests);
   // The exact path gets the same per-step budget the daemon's shed ladder
   // would leave it before falling back to the fastpath.
   admission.greedy.per_iteration_time_limit =
@@ -301,11 +304,40 @@ int main(int argc, char** argv) {
   load.arrival_rate = args.get_double("arrival-rate", 0.0);
   load.slo.window_seconds = args.get_double("slo-window", 60.0);
   load.slo.budget_fraction = args.get_double("slo-budget", 0.05);
+  const bool serve_metrics = args.has("metrics-port");
+  const int metrics_port_flag = args.get_int("metrics-port", 0);
+
+  // WAL A/B axis: --wal-ab runs each mode at off/batch/every; otherwise a
+  // single durability level from --state-dir / --wal-fsync (default off).
+  const std::string wal_fsync = args.get_string("wal-fsync", "batch");
+  load.state_root = args.get_string("state-dir", "");
+  const bool wal_ab = args.has("wal-ab");
+  const std::string csv = args.get_string("csv", "");
+  args.reject_unknown_flags();
+
+  if (mode != "greedy" && mode != "reopt" && mode != "both") {
+    std::cerr << "serve_load: --mode must be greedy, reopt, or both\n";
+    return 1;
+  }
+  if (wal_fsync != "off" && wal_fsync != "batch" && wal_fsync != "every") {
+    std::cerr << "serve_load: --wal-fsync must be off, batch, or every\n";
+    return 1;
+  }
+  std::vector<std::string> wal_levels;
+  if (wal_ab)
+    wal_levels = {"off", "batch", "every"};
+  else if (!load.state_root.empty())
+    wal_levels = {wal_fsync};
+  else
+    wal_levels = {"off"};
+  if (load.state_root.empty()) load.state_root = "serve_load_state";
+
+  const workload::ArrivalTrace trace = workload::make_trace(params);
+  if (!trace_out.empty()) workload::save_trace(trace, trace_out);
 
   serve::MetricsServer metrics_server({{{"service", "serve_load"}}, {}});
-  if (args.has("metrics-port")) {
-    const int metrics_port =
-        metrics_server.start(args.get_int("metrics-port", 0));
+  if (serve_metrics) {
+    const int metrics_port = metrics_server.start(metrics_port_flag);
     if (metrics_port < 0) {
       std::cerr << "serve_load: cannot bind metrics port\n";
       return 1;
@@ -319,23 +351,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(params.seed),
               params.flexibility, slo_ms, admission.max_step_requests,
               load.arrival_rate);
-
-  // WAL A/B axis: --wal-ab runs each mode at off/batch/every; otherwise a
-  // single durability level from --state-dir / --wal-fsync (default off).
-  const std::string wal_fsync = args.get_string("wal-fsync", "batch");
-  if (wal_fsync != "off" && wal_fsync != "batch" && wal_fsync != "every") {
-    std::cerr << "serve_load: --wal-fsync must be off, batch, or every\n";
-    return 1;
-  }
-  load.state_root = args.get_string("state-dir", "");
-  std::vector<std::string> wal_levels;
-  if (args.has("wal-ab"))
-    wal_levels = {"off", "batch", "every"};
-  else if (!load.state_root.empty())
-    wal_levels = {wal_fsync};
-  else
-    wal_levels = {"off"};
-  if (load.state_root.empty()) load.state_root = "serve_load_state";
 
   std::vector<ModeResult> results;
   for (const std::string& wal_level : wal_levels) {
@@ -380,7 +395,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string csv = args.get_string("csv", "");
   if (!csv.empty()) {
     AtomicFile out(csv);
     out.stream() << "scale,mode,wal,requests,accepted,shed,shed_aged,"

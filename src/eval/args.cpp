@@ -1,6 +1,8 @@
 #include "eval/args.hpp"
 
 #include <charconv>
+#include <cstdlib>
+#include <iostream>
 
 #include "support/check.hpp"
 
@@ -80,6 +82,14 @@ std::vector<std::string> Args::unused() const {
     if (!queried_.count(name)) out.push_back(name);
   }
   return out;
+}
+
+void Args::reject_unknown_flags() const {
+  const std::vector<std::string> unknown = unused();
+  if (unknown.empty()) return;
+  for (const std::string& name : unknown)
+    std::cerr << "error: unknown flag --" << name << '\n';
+  std::exit(2);
 }
 
 }  // namespace tvnep::eval

@@ -27,6 +27,12 @@ class Args {
   /// Names that were provided but never queried — typo detection.
   std::vector<std::string> unused() const;
 
+  /// Refuses a flag the program never read — a typo, or an option that no
+  /// longer exists — with `error: unknown flag --<name>` on stderr and
+  /// exit code 2. Call it once every flag the chosen code path reads has
+  /// been read, and before that path does any work.
+  void reject_unknown_flags() const;
+
  private:
   std::optional<std::string> raw(const std::string& name) const;
   std::map<std::string, std::string> values_;

@@ -7,7 +7,8 @@
 // the whole quickstart pipeline.
 //
 //   tvnep_serve [--slo-ms 100] [--shed-fraction 0.5] [--queue 256]
-//               [--max-step 64] [--reopt-interval-ms 0] [--reopt-budget 2]
+//               [--max-step N]             (default: the engine's step cap)
+//               [--reopt-interval-ms 0] [--reopt-budget 2]
 //               [--port P]                 (0 = ephemeral; prints the port)
 //               [--slo-window 60] [--slo-budget 0.05]
 //               [--metrics-port P]         (loopback /metrics listener)
@@ -20,6 +21,9 @@
 //               [--leaves 4] [--no-mappings] [--save-trace F]
 //               [--from-trace F] [--no-drain]
 //   tvnep_serve --dump-state --state-dir D   (recover, validate, print, exit)
+//
+// Each mode refuses a flag it does not read with `error: unknown flag
+// --<name>` and exit code 2, before it does any work.
 #include <atomic>
 #include <csignal>
 #include <iostream>
@@ -58,12 +62,9 @@ void install_signal_handlers() {
 
 int emit_requests(const tvnep::eval::Args& args) {
   namespace workload = tvnep::workload;
-  workload::ArrivalTrace trace;
   const std::string from = args.get_string("from-trace", "");
-  if (!from.empty()) {
-    trace = workload::load_trace(from);
-  } else {
-    workload::WorkloadParams params;
+  workload::WorkloadParams params;
+  if (from.empty()) {
     params.num_requests = args.get_int("emit", 20);
     params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     params.flexibility = args.get_double("flex", 1.5);
@@ -72,9 +73,13 @@ int emit_requests(const tvnep::eval::Args& args) {
     params.grid_rows = args.get_int("rows", 4);
     params.grid_cols = args.get_int("cols", 5);
     params.fix_node_mappings = !args.get_bool("no-mappings", false);
-    trace = workload::make_trace(params);
   }
   const std::string save = args.get_string("save-trace", "");
+  const bool drain = !args.get_bool("no-drain", false);
+  args.reject_unknown_flags();
+
+  const workload::ArrivalTrace trace =
+      from.empty() ? workload::make_trace(params) : workload::load_trace(from);
   if (!save.empty()) workload::save_trace(trace, save);
 
   for (std::size_t i = 0; i < trace.requests.size(); ++i) {
@@ -86,8 +91,7 @@ int emit_requests(const tvnep::eval::Args& args) {
     message.mapping = trace.requests[i].mapping;
     std::cout << tvnep::serve::encode_request(message) << '\n';
   }
-  if (!args.get_bool("no-drain", false))
-    std::cout << "{\"type\":\"drain\"}\n";
+  if (drain) std::cout << "{\"type\":\"drain\"}\n";
   return 0;
 }
 
@@ -113,15 +117,17 @@ bool parse_wal_flags(const tvnep::eval::Args& args,
 int dump_state(const tvnep::eval::Args& args) {
   namespace serve = tvnep::serve;
   const std::string state_dir = args.get_string("state-dir", "");
+  serve::AdmissionOptions admission;
+  admission.max_step_requests =
+      args.get_int("max-step", admission.max_step_requests);
+  const tvnep::net::SubstrateNetwork substrate = tvnep::net::make_grid(
+      args.get_int("rows", 4), args.get_int("cols", 5),
+      args.get_double("node-cap", 3.5), args.get_double("link-cap", 5.0));
+  args.reject_unknown_flags();
   if (state_dir.empty()) {
     std::cerr << "tvnep_serve: --dump-state requires --state-dir\n";
     return 1;
   }
-  serve::AdmissionOptions admission;
-  admission.max_step_requests = args.get_int("max-step", 64);
-  const tvnep::net::SubstrateNetwork substrate = tvnep::net::make_grid(
-      args.get_int("rows", 4), args.get_int("cols", 5),
-      args.get_double("node-cap", 3.5), args.get_double("link-cap", 5.0));
 
   serve::RecoveredState recovered;
   const std::unique_ptr<serve::Wal> wal = serve::Wal::open(
@@ -176,7 +182,8 @@ int run_daemon(const tvnep::eval::Args& args) {
   options.reopt_interval_seconds =
       args.get_double("reopt-interval-ms", 0.0) / 1000.0;
   options.reopt.time_limit_seconds = args.get_double("reopt-budget", 2.0);
-  options.admission.max_step_requests = args.get_int("max-step", 64);
+  options.admission.max_step_requests =
+      args.get_int("max-step", options.admission.max_step_requests);
   // The step MIP may use at most the SLO headroom the shed ladder leaves.
   options.admission.greedy.per_iteration_time_limit =
       options.shed_fraction * options.slo_ms / 1000.0;
@@ -188,6 +195,11 @@ int run_daemon(const tvnep::eval::Args& args) {
   tvnep::net::SubstrateNetwork substrate = tvnep::net::make_grid(
       args.get_int("rows", 4), args.get_int("cols", 5),
       args.get_double("node-cap", 3.5), args.get_double("link-cap", 5.0));
+  const bool serve_tcp = args.has("port");
+  const int port_flag = args.get_int("port", 0);
+  const bool serve_metrics = args.has("metrics-port");
+  const int metrics_port_flag = args.get_int("metrics-port", 0);
+  args.reject_unknown_flags();
 
   serve::Daemon daemon(std::move(substrate), options);
   if (!options.state_dir.empty()) {
@@ -208,9 +220,8 @@ int run_daemon(const tvnep::eval::Args& args) {
     server_options.before_scrape = [&daemon] { daemon.refresh_slo_gauges(); };
     return server_options;
   }());
-  if (args.has("metrics-port")) {
-    const int metrics_port =
-        metrics_server.start(args.get_int("metrics-port", 0));
+  if (serve_metrics) {
+    const int metrics_port = metrics_server.start(metrics_port_flag);
     if (metrics_port < 0) {
       tvnep::obs::log_error("serve.main", "cannot bind metrics port");
       return 1;
@@ -220,8 +231,8 @@ int run_daemon(const tvnep::eval::Args& args) {
   }
 
   long decided = 0;
-  if (args.has("port")) {
-    const int port = daemon.listen_tcp(args.get_int("port", 0));
+  if (serve_tcp) {
+    const int port = daemon.listen_tcp(port_flag);
     if (port < 0) {
       tvnep::obs::log_error("serve.main", "cannot bind TCP port");
       return 1;

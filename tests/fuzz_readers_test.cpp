@@ -26,6 +26,7 @@
 #include "support/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
+#include "temp_dir.hpp"
 
 namespace tvnep {
 namespace {
@@ -34,24 +35,11 @@ constexpr int kMutations = 2000;
 
 // Thousands of journal repairs and snapshot writes each fsync; on tmpfs
 // (/dev/shm, where present) those cost nothing, on a disk they cost minutes.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    const std::filesystem::path base =
-        std::filesystem::is_directory("/dev/shm")
-            ? std::filesystem::path("/dev/shm")
-            : std::filesystem::temp_directory_path();
-    std::string tmpl = (base / "tvnep_fuzz_XXXXXX").string();
-    const char* made = ::mkdtemp(tmpl.data());
-    EXPECT_NE(made, nullptr);
-    path = made == nullptr ? tmpl : made;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  std::string file(const std::string& name) const { return path + "/" + name; }
-};
+std::filesystem::path fuzz_base() {
+  return std::filesystem::is_directory("/dev/shm")
+             ? std::filesystem::path("/dev/shm")
+             : std::filesystem::path();
+}
 
 std::string read_all(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -217,7 +205,7 @@ eval::CellRecord journal_record(int seed) {
 }
 
 TEST(Fuzz, SweepJournalResumesOrThrowsParseError) {
-  const TempDir dir;
+  const TempDir dir(fuzz_base());
   const std::string path = dir.file("sweep.jsonl");
   {
     const auto journal = eval::SweepJournal::create(path, 42);
@@ -260,7 +248,7 @@ TEST(Fuzz, WalStateDirOpensOrThrowsParseError) {
   const std::uint64_t fp = serve::serve_state_fingerprint(substrate, {});
 
   // A snapshot after three decisions, then two decision records.
-  const TempDir source;
+  const TempDir source(fuzz_base());
   serve::WalOptions options;
   options.snapshot_every = 3;
   std::uint64_t decisions = 0;
@@ -292,7 +280,7 @@ TEST(Fuzz, WalStateDirOpensOrThrowsParseError) {
   const std::string log = read_all(source.file("wal.jsonl"));
   ASSERT_EQ(std::count(log.begin(), log.end(), '\n'), 3);
 
-  const TempDir dir;
+  const TempDir dir(fuzz_base());
   const auto open_state = [&](const std::string& snapshot_bytes,
                               const std::string& log_bytes,
                               serve::RecoveredState* recovered) {

@@ -4,10 +4,8 @@
 // (scripts/tier1.sh) — they hammer the thread-local shards from
 // parallel_for workers and assert the merged totals are exact.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "obs/tree_log.hpp"
 #include "support/parallel.hpp"
+#include "temp_dir.hpp"
 
 namespace tvnep {
 namespace {
@@ -38,25 +37,6 @@ class ObsFixture : public ::testing::Test {
 
 using ObsConcurrentTest = ObsFixture;
 using ObsTest = ObsFixture;
-
-// ctest runs every test case as its own process in one shared working
-// directory, so a fixed file name there races under `ctest -j`. Each
-// process writes into its own directory instead.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "tvnep_obs_XXXXXX").string();
-    const char* made = ::mkdtemp(tmpl.data());
-    EXPECT_NE(made, nullptr);
-    path = made == nullptr ? tmpl : made;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  std::string file(const std::string& name) const { return path + "/" + name; }
-};
 
 TEST_F(ObsConcurrentTest, CountersMergeExactlyAcrossWorkers) {
   obs::Metrics::instance().start();

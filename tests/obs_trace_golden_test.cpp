@@ -4,11 +4,9 @@
 // exactly one schema-conforming record per processed branch-and-bound
 // node with a monotone global bound.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -24,6 +22,7 @@
 #include "support/parse_error.hpp"
 #include "tvnep/solver.hpp"
 #include "workload/generator.hpp"
+#include "temp_dir.hpp"
 
 namespace tvnep {
 namespace {
@@ -37,25 +36,6 @@ bool parse(const std::string& text, JsonValue* out) {
     return false;
   }
 }
-
-// ctest runs every test case as its own process in one shared working
-// directory, so a fixed file name there races under `ctest -j`. Each
-// process writes into its own directory instead.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "tvnep_obs_XXXXXX").string();
-    const char* made = ::mkdtemp(tmpl.data());
-    EXPECT_NE(made, nullptr);
-    path = made == nullptr ? tmpl : made;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  std::string file(const std::string& name) const { return path + "/" + name; }
-};
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);

@@ -12,7 +12,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,23 +21,10 @@
 #include "serve/wal.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
+#include "temp_dir.hpp"
 
 namespace tvnep::serve {
 namespace {
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/tvnep_rec_XXXXXX";
-    const char* made = ::mkdtemp(tmpl);
-    EXPECT_NE(made, nullptr);
-    path = made == nullptr ? "/tmp/tvnep_rec_fallback" : made;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
 
 workload::WorkloadParams matrix_params() {
   workload::WorkloadParams p;

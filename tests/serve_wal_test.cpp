@@ -31,23 +31,10 @@
 #include "support/parse_error.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
+#include "temp_dir.hpp"
 
 namespace tvnep::serve {
 namespace {
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/tvnep_wal_XXXXXX";
-    const char* made = ::mkdtemp(tmpl);
-    EXPECT_NE(made, nullptr);
-    path = made == nullptr ? "/tmp/tvnep_wal_fallback" : made;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
 
 workload::WorkloadParams trace_params() {
   workload::WorkloadParams p;

@@ -4,10 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "temp_dir.hpp"
 
 namespace tvnep {
 namespace {
@@ -21,8 +22,8 @@ std::string read_all(const std::string& path) {
 
 class AtomicFileTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::remove(path_.c_str()); }
-  const std::string path_ = "atomic_file_test.txt";
+  const TempDir dir_;
+  const std::string path_ = dir_.file("atomic_file_test.txt");
 };
 
 TEST_F(AtomicFileTest, CommitPublishesBufferedContent) {
@@ -53,7 +54,7 @@ TEST_F(AtomicFileTest, CommitReplacesExistingFileWhole) {
 }
 
 TEST_F(AtomicFileTest, CommitIntoMissingDirectoryFails) {
-  AtomicFile file("no_such_dir_xyz/out.txt");
+  AtomicFile file(dir_.file("no_such_dir_xyz/out.txt"));
   file.stream() << "content";
   EXPECT_FALSE(file.commit());
 }

@@ -21,24 +21,10 @@
 #include "serve/wal.hpp"
 #include "support/json.hpp"
 #include "support/parse_error.hpp"
+#include "temp_dir.hpp"
 
 namespace tvnep {
 namespace {
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/tvnep_journal_XXXXXX";
-    const char* made = ::mkdtemp(tmpl);
-    EXPECT_NE(made, nullptr);
-    path = made == nullptr ? "/tmp/tvnep_journal_fallback" : made;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  std::string file(const std::string& name) const { return path + "/" + name; }
-};
 
 std::string read_all(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
