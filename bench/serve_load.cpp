@@ -203,10 +203,7 @@ ModeResult run_mode(const workload::ArrivalTrace& trace,
     // the append (inside admit, via the state sink) is in the measured
     // service time; the compaction is not on any request's critical path.
     if (wal != nullptr && !wal->crashed() && wal->wants_snapshot())
-      engine.with_snapshot_full(
-          [&](const serve::AdmissionEngine::Snapshot& s) {
-            wal->write_snapshot(s);
-          });
+      wal->snapshot_engine(engine);
 
     result.latency_ms.observe(latency_ms);
     obs::histogram_observe("serve.admit.latency_ms", latency_ms);

@@ -2,6 +2,8 @@
 # Serve crash-recovery smoke: kill -9 the admission daemon mid-load and
 # prove that durable admission state (DESIGN.md §16) loses nothing.
 # Asserts
+#   * the newest snapshot left by the kill holds exactly its active
+#     commits (1 + active lines), the retired ones being in the ledger,
 #   * every decision acknowledged before the kill is in the recovered
 #     state (acked accepted ids are a subset of the recovered commit
 #     ledger, recovered decision count >= acked count),
@@ -64,6 +66,30 @@ rm -f recover_fifo
 acked=$(grep -c '"type":"decision"' recover_phase1.ndjson || true)
 echo "serve_recover: SIGKILL after $acked acknowledged decisions"
 test "$acked" -ge "$want"
+
+# Snapshots hold the active commits only: the retired ones live in the
+# append-only ledger, which holds at least as many as the snapshot counts.
+STATE_DIR="$state_dir" python3 - <<'EOF'
+import glob, json, os
+
+state_dir = os.environ["STATE_DIR"]
+snapshots = sorted(glob.glob(os.path.join(state_dir, "snapshot-*.state")))
+assert snapshots, "the killed daemon published no snapshot"
+lines = open(snapshots[-1]).read().splitlines()
+header = json.loads(lines[0])
+assert len(lines) == 1 + header["active"], \
+    f"{snapshots[-1]} has {len(lines)} lines, expected 1 + " \
+    f"{header['active']} active"
+in_ledger = header.get("ledger", 0)
+assert in_ledger == header["retired"], \
+    f"snapshot keeps {header['retired'] - in_ledger} retired commits inline"
+ledger = os.path.join(state_dir, "ledger.jsonl")
+held = len(open(ledger).read().splitlines()) - 1 if in_ledger else 0
+assert held >= in_ledger, \
+    f"ledger holds {held} commits, the snapshot needs {in_ledger}"
+print(f"serve_recover: newest snapshot holds {header['active']} active "
+      f"commits; the ledger holds {held} retired")
+EOF
 
 # --- recovery: dump, validate, diff against the acknowledgements ------------
 "$serve" --dump-state --state-dir "$state_dir" > recover_state.json

@@ -6,12 +6,13 @@
 #   * p99 admit latency under the SLO (from the --metrics histogram),
 #   * a clean SIGTERM drain: bye line, exit status 0,
 #   * the telemetry plane: a live /metrics scrape under load passes
-#     validate_exposition.py (admission-latency p99 + SLO budget gauges
-#     present), the request-lifecycle trace passes validate_trace.py
-#     --serve-spans, and --log writes valid structured JSONL.
+#     validate_exposition.py (admission-latency p99, SLO budget gauges and
+#     the WAL snapshot histogram present), the request-lifecycle trace
+#     passes validate_trace.py --serve-spans (snapshot spans included), and
+#     --log writes valid structured JSONL.
 # Artifacts (serve_trace.txt, serve_decisions.ndjson, serve_metrics.json,
-# serve_exposition.txt, serve_span_trace.json, serve_daemon.log) are left
-# in the working directory for upload.
+# serve_exposition.txt, serve_span_trace.json, serve_daemon.log,
+# serve_smoke_state/) are left in the working directory for upload.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -103,8 +104,12 @@ test "$decided" -eq "$requests"
 echo "serve_smoke: SIGTERM drained $decided decisions and said bye (exit 0)"
 
 # --- telemetry plane: live /metrics scrape + span linkage + structured log --
+# The WAL is on (a snapshot every 4 decisions), so the scrape and the trace
+# carry its snapshot histogram and spans too.
+rm -rf serve_smoke_state
 { cat serve_requests_nodrain.ndjson; sleep 30; } \
   | "$serve" --slo-ms "$slo_ms" --metrics-port 0 \
+      --state-dir serve_smoke_state --snapshot-every 4 \
       --trace serve_span_trace.json \
       --log serve_daemon.log --log-level debug > serve_live.ndjson &
 pid=$!
@@ -128,7 +133,7 @@ done
 test -n "$port" || { echo "serve_smoke: no metrics_listening line"; \
                      kill -TERM "$pid"; exit 1; }
 
-# Scrape while the daemon works the queue; retry until the histogram and
+# Scrape while the daemon works the queue; retry until the histograms and
 # the SLO gauges have materialized.
 python3 - "$port" > serve_exposition.txt <<'EOF'
 import sys, time, urllib.request
@@ -138,7 +143,8 @@ for _ in range(100):
     body = urllib.request.urlopen(
         f"http://127.0.0.1:{port}/metrics", timeout=5).read().decode()
     if ("serve_admit_latency_ms_p99" in body
-            and "serve_slo_budget_remaining" in body):
+            and "serve_slo_budget_remaining" in body
+            and "serve_wal_snapshot_ms_count" in body):
         break
     time.sleep(0.2)
 sys.stdout.write(body)
@@ -146,7 +152,8 @@ EOF
 python3 scripts/validate_exposition.py serve_exposition.txt \
   --require serve_admit_latency_ms_p99 \
   --require serve_slo_budget_remaining \
-  --require serve_slo_burn_rate
+  --require serve_slo_burn_rate \
+  --require serve_wal_snapshot_ms_count
 echo "serve_smoke: live /metrics scrape is valid exposition"
 
 for _ in $(seq 1 300); do

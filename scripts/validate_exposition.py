@@ -16,9 +16,11 @@ works in CI). Validates:
     per series, cumulative bucket counts are non-decreasing in `le`
     order, an `le="+Inf"` bucket is present, and its count equals the
     matching `<name>_count` sample;
+  * the WAL metrics (KNOWN_TYPES) carry their own type when present: the
+    snapshot-time histogram and the ledger counter among them;
   * `--require NAME` (repeatable) asserts at least one sample of NAME
     exists — CI uses it to pin the admission-latency p99 and SLO budget
-    gauges.
+    gauges, and the WAL snapshot metrics.
 
 Exits non-zero with one message per problem.
 """
@@ -34,6 +36,19 @@ LABEL_NAME_CHARS_FIRST = METRIC_NAME_CHARS_FIRST - set(":")
 LABEL_NAME_CHARS = LABEL_NAME_CHARS_FIRST | set("0123456789")
 
 PROBLEMS = []
+
+# The WAL families tvnep_serve exports, with their fixed types; a scrape
+# that declares one of them with another type is wrong.
+KNOWN_TYPES = {
+    "serve_wal_appends": "counter",
+    "serve_wal_fsyncs": "counter",
+    "serve_wal_io_errors": "counter",
+    "serve_wal_snapshots": "counter",
+    "serve_wal_append_ms": "histogram",
+    "serve_wal_fsync_ms": "histogram",
+    "serve_wal_snapshot_ms": "histogram",
+    "serve_wal_ledger_commits": "counter",
+}
 
 
 def problem(msg):
@@ -197,6 +212,11 @@ def validate(lines, path):
         for suffix in ("_bucket", "_sum", "_count"):
             if name.endswith(suffix):
                 sampled_names.add(name[:-len(suffix)])
+
+    for name, want in KNOWN_TYPES.items():
+        if name in typed and typed[name] != want:
+            problem(f"{path}: {name!r} is typed {typed[name]!r}, "
+                    f"expected {want!r}")
 
     # Histogram invariants, per (family, series-without-le).
     buckets = {}   # (family, series) -> list of (le_value, count)

@@ -16,7 +16,9 @@ Validates:
     one root "serve.request" span whose args name the path (door/worker)
     and outcome; worker-path requests have a queue b/e pair ending at or
     before the root ends, and their stage spans (step_mip/fastpath/write)
-    lie inside the root;
+    lie inside the root; every "serve.wal.snapshot" span carries integer
+    args active/retired/ledger with ledger <= retired, and, in time order,
+    neither retired nor ledger ever shrinks (the ledger is append-only);
   * TREE.jsonl (optional) holds one JSON object per line conforming to the
     obs::TreeLog schema, with unique node ids per context and a monotone
     global bound (non-decreasing for "min", non-increasing for "max");
@@ -157,6 +159,7 @@ def validate_serve_spans(path, events):
                 stages.setdefault(req, []).append((name, ts, end))
         # instants (reopt_install) only need the req tag checked above
 
+    validate_snapshot_spans(path, events)
     if not roots:
         problem(f"{path}: --serve-spans found no serve.request root spans")
         return
@@ -204,6 +207,34 @@ def validate_serve_spans(path, events):
             problem(f"{path}: request {req!r} has no parse span")
     print(f"validate_trace: {path}: serve-span linkage OK for "
           f"{len(roots)} requests ({tagged} tagged events)")
+
+
+def validate_snapshot_spans(path, events):
+    """The WAL's serve.wal.snapshot spans: counts in args, ledger monotone."""
+    snapshots = []
+    for i, e in enumerate(events):
+        if not isinstance(e, dict) or e.get("name") != "serve.wal.snapshot":
+            continue
+        args = e.get("args") if isinstance(e.get("args"), dict) else {}
+        counts = [args.get(k) for k in ("active", "retired", "ledger")]
+        if e.get("ph") != "X" or not all(
+                isinstance(c, int) and c >= 0 for c in counts):
+            problem(f"{path}: event {i} 'serve.wal.snapshot' needs ph X and "
+                    f"non-negative integer args active/retired/ledger, got "
+                    f"{args!r}")
+            continue
+        if counts[2] > counts[1]:
+            problem(f"{path}: event {i} snapshot ledger {counts[2]} exceeds "
+                    f"retired {counts[1]}")
+        snapshots.append((float(e.get("ts", 0)), counts[1], counts[2]))
+    snapshots.sort()
+    for (_, retired0, ledger0), (ts, retired1, ledger1) in zip(
+            snapshots, snapshots[1:]):
+        if retired1 < retired0 or ledger1 < ledger0:
+            problem(f"{path}: snapshot at {ts} shrank retired/ledger from "
+                    f"{retired0}/{ledger0} to {retired1}/{ledger1}")
+    if snapshots:
+        print(f"validate_trace: {path}: {len(snapshots)} WAL snapshot spans")
 
 
 TREE_REQUIRED = (

@@ -316,43 +316,44 @@ void AdmissionEngine::set_state_sink(StateSink sink) {
 
 AdmissionEngine::Snapshot AdmissionEngine::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Snapshot snap;
-  snap.version = version_;
-  snap.now = now_;
-  snap.commits = active_;
-  snap.next_seq = next_seq_;
-  snap.accepted_total = accepted_total_;
-  snap.decisions = decisions_total_;
-  return snap;
+  return snapshot_since_locked(retired_.size());
 }
 
 AdmissionEngine::Snapshot AdmissionEngine::snapshot_full() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return snapshot_full_locked();
+  return snapshot_since_locked(0);
 }
 
-AdmissionEngine::Snapshot AdmissionEngine::snapshot_full_locked() const {
+void AdmissionEngine::with_snapshot_since(
+    std::size_t retired_from,
+    const std::function<void(const Snapshot&)>& fn) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  fn(snapshot_since_locked(retired_from));
+}
+
+AdmissionEngine::Snapshot AdmissionEngine::snapshot_since_locked(
+    std::size_t retired_from) const {
   Snapshot snap;
   snap.version = version_;
   snap.now = now_;
   snap.commits = active_;
-  snap.retired = retired_;
+  retired_from = std::min(retired_from, retired_.size());
+  snap.retired.assign(
+      retired_.begin() + static_cast<std::ptrdiff_t>(retired_from),
+      retired_.end());
+  snap.retired_base = retired_from;
   snap.next_seq = next_seq_;
   snap.accepted_total = accepted_total_;
   snap.decisions = decisions_total_;
   return snap;
-}
-
-void AdmissionEngine::with_snapshot_full(
-    const std::function<void(const Snapshot&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  fn(snapshot_full_locked());
 }
 
 void AdmissionEngine::restore(const Snapshot& state) {
   std::lock_guard<std::mutex> lock(mutex_);
   TVNEP_REQUIRE(active_.empty() && retired_.empty() && decisions_total_ == 0,
                 "restore requires a pristine engine");
+  TVNEP_REQUIRE(state.retired_base == 0,
+                "restore requires a full snapshot (retired_base 0)");
   active_ = state.commits;
   retired_ = state.retired;
   now_ = state.now;

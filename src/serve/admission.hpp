@@ -145,25 +145,36 @@ class AdmissionEngine {
     double now = 0.0;
     std::vector<Commit> commits;  // all active commits, admission order
     // ----- full-state extension (snapshot_full / restore) -----
-    std::vector<Commit> retired;  // GC'd commits, retirement order
+    /// GC'd commits in retirement order, from index `retired_base` on:
+    /// the first `retired_base` are left out (the WAL's ledger already
+    /// holds them). 0 in a full snapshot.
+    std::vector<Commit> retired;
+    std::uint64_t retired_base = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t accepted_total = 0;
     std::uint64_t decisions = 0;  // decisions_total()
   };
+  /// The active commits and counters; every retired commit is left out
+  /// (retired_base = retired_commits()).
   Snapshot snapshot() const;
 
-  /// Snapshot including the retired ledger — everything restore() needs
+  /// Snapshot including every retired commit — everything restore() needs
   /// to reconstruct the engine exactly (the reoptimizer uses the lighter
   /// snapshot(), which skips the retired copy).
   Snapshot snapshot_full() const;
 
-  /// Runs `fn` on the full snapshot while still holding the engine lock,
-  /// so no decision or install can interleave between reading the state
-  /// and `fn` returning. The WAL publishes snapshots through this:
-  /// compacting the log outside the lock could race a concurrent install
-  /// record into oblivion (appended after the state was read, erased by
-  /// the compaction). Lock order stays engine → wal, same as the sink.
-  void with_snapshot_full(
+  /// Runs `fn` on a snapshot of the active commits and of the retired
+  /// commits from index `retired_from` on (retired_base = retired_from),
+  /// while still holding the engine lock, so no decision or install can
+  /// interleave between reading the state and `fn` returning. The WAL
+  /// publishes snapshots through this (Wal::snapshot_engine): compacting
+  /// the log outside the lock could race a concurrent install record into
+  /// oblivion (appended after the state was read, erased by the
+  /// compaction). Retired commits never change, so the copy under the
+  /// lock is O(active + retired since `retired_from`), not O(history).
+  /// Lock order stays engine → wal, same as the sink.
+  void with_snapshot_since(
+      std::size_t retired_from,
       const std::function<void(const Snapshot&)>& fn) const;
 
   /// Rehydrates a freshly constructed engine from a recovered snapshot.
@@ -207,7 +218,7 @@ class AdmissionEngine {
   void emit_decision_locked(const RequestMessage& message,
                             const AdmitResult& result, bool fastpath,
                             StateTransition* txn);
-  Snapshot snapshot_full_locked() const;
+  Snapshot snapshot_since_locked(std::size_t retired_from) const;
 
   mutable std::mutex mutex_;
   net::SubstrateNetwork substrate_;

@@ -413,15 +413,11 @@ long Daemon::serve(int in_fd, int out_fd) {
         }
         stream_decided_.fetch_add(1, std::memory_order_relaxed);
         decided_total_.fetch_add(1, std::memory_order_relaxed);
-        if (wal_ != nullptr && wal_->wants_snapshot()) {
-          // Publish under the engine lock (with_snapshot_full) so no
-          // install record can land between reading the state and the
-          // log compaction — it would be erased but not captured.
-          engine_.with_snapshot_full(
-              [this](const AdmissionEngine::Snapshot& state) {
-                wal_->write_snapshot(state);
-              });
-        }
+        // Publishes under the engine lock, so no install record can land
+        // between reading the state and the log compaction — it would be
+        // erased but not captured.
+        if (wal_ != nullptr && wal_->wants_snapshot())
+          wal_->snapshot_engine(engine_);
         break;
       }
       case MessageKind::kStats:
@@ -485,6 +481,9 @@ std::string Daemon::stats_fields() const {
      << ",\"wal_fsyncs\":" << wal.fsyncs
      << ",\"wal_io_errors\":" << wal.io_errors
      << ",\"wal_snapshots\":" << wal.snapshots
+     << ",\"wal_snapshot_ms_last\":" << obs::json_number(wal.snapshot_ms_last)
+     << ",\"wal_snapshot_ms_max\":" << obs::json_number(wal.snapshot_ms_max)
+     << ",\"wal_ledger_commits\":" << wal.ledger_commits
      << ",\"wal_replayed\":" << wal.replayed
      << ",\"wal_torn_repaired\":" << wal.torn_repaired;
   return os.str();

@@ -6,9 +6,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "net/instance.hpp"
@@ -28,7 +32,14 @@ namespace {
 constexpr int kWalVersion = 1;
 constexpr JournalFormat kLogFormat{"wal", "tvnep-serve", kWalVersion};
 constexpr JournalFormat kSnapshotFormat{"snapshot", "tvnep-serve", kWalVersion};
+constexpr JournalFormat kLedgerFormat{"ledger", "tvnep-serve", kWalVersion};
 constexpr const char* kLogName = "wal.jsonl";
+constexpr const char* kLedgerName = "ledger.jsonl";
+// Space reserved for each log that compaction starts (fallocate, size
+// kept): a snapshot interval of records lands in one extent, so freeing
+// the log at the next compaction is one cheap release instead of one per
+// fsync'd append.
+constexpr off_t kLogReserveBytes = 1 << 20;
 
 std::string snapshot_name(std::uint64_t tag) {
   return "snapshot-" + fingerprint_hex(tag) + ".state";
@@ -302,12 +313,14 @@ bool record_after_state(const AdmissionEngine::Snapshot& state,
   return version > state.version;
 }
 
-/// Loads one snapshot generation. Returns false on damage (caller falls
+/// Loads one snapshot generation: its active commits and the retired
+/// commits it holds inline, with `*ledger` set to how many retired commits
+/// come before those, in the ledger. Returns false on damage (caller falls
 /// back to an older generation); throws ParseError on a fingerprint or
 /// format-version mismatch (an incompatible resume must be refused, not
 /// silently ignored).
 bool load_snapshot(const std::string& path, std::uint64_t fingerprint,
-                   AdmissionEngine::Snapshot* out) {
+                   AdmissionEngine::Snapshot* out, std::uint64_t* ledger) {
   JournalLines file;
   if (!read_journal_lines(path, &file) || file.lines.empty()) return false;
   JsonValue header;
@@ -326,11 +339,17 @@ bool load_snapshot(const std::string& path, std::uint64_t fingerprint,
     state.decisions = uint_member(header, "decisions", path, 1);
     const auto active = uint_member(header, "active", path, 1);
     const auto retired = uint_member(header, "retired", path, 1);
-    if (!file.last_terminated ||
-        file.lines.size() != 1 + active + retired)
+    // Snapshots written before the ledger existed carry no "ledger" key
+    // and hold every retired commit inline.
+    const JsonValue* ledger_member = header.find("ledger");
+    const std::uint64_t in_ledger =
+        ledger_member == nullptr ? 0 : to_uint(*ledger_member, "ledger", path, 1);
+    if (in_ledger > retired) return false;
+    const std::uint64_t lines = active + (retired - in_ledger);
+    if (!file.last_terminated || file.lines.size() != 1 + lines)
       return false;  // truncated: AtomicFile should prevent this, but trust
                      // nothing at recovery time
-    for (std::uint64_t i = 0; i < active + retired; ++i) {
+    for (std::uint64_t i = 0; i < lines; ++i) {
       const long line = static_cast<long>(i) + 2;
       Commit commit = decode_commit(
           parse_json(file.lines[static_cast<std::size_t>(line - 1)], path,
@@ -340,10 +359,52 @@ bool load_snapshot(const std::string& path, std::uint64_t fingerprint,
           .push_back(std::move(commit));
     }
     *out = std::move(state);
+    *ledger = in_ledger;
     return true;
   } catch (const ParseError&) {
     return false;
   }
+}
+
+/// Reads the first `count` commits of the ledger at `path` into `out` and
+/// cuts the file back to them: lines past `count` were appended by a
+/// snapshot that never published, and their commits are still in the log.
+/// Returns the ledger's byte length. A ledger that is missing, foreign,
+/// damaged within its first `count` lines or shorter than `count` throws
+/// ParseError: a published snapshot depends on those commits.
+std::uint64_t load_ledger(const std::string& path, std::uint64_t fingerprint,
+                          std::uint64_t count, std::vector<Commit>* out) {
+  JournalLines file;
+  if (!read_journal_lines(path, &file) || file.lines.empty())
+    throw ParseError(path, 1, 0,
+                     "the snapshot needs " + std::to_string(count) +
+                         " ledger commits, but the ledger is missing");
+  check_journal_header(parse_json(file.lines[0], path, 1), kLedgerFormat,
+                       fingerprint, path);
+  const std::uint64_t held = file.lines.size() - 1;
+  if (held < count || (held == count && !file.last_terminated))
+    throw ParseError(path, static_cast<long>(file.lines.size()), 0,
+                     "the ledger holds " + std::to_string(held) +
+                         " commits, the snapshot needs " +
+                         std::to_string(count));
+  std::uint64_t bytes = file.lines[0].size() + 1;
+  for (std::uint64_t i = 1; i <= count; ++i) {
+    const long line = static_cast<long>(i) + 1;
+    const std::string& text = file.lines[static_cast<std::size_t>(i)];
+    out->push_back(decode_commit(parse_json(text, path, line), path, line));
+    bytes += text.size() + 1;
+  }
+  if (held > count) {
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    const bool cut = fd >= 0 &&
+                     ::ftruncate(fd, static_cast<off_t>(bytes)) == 0 &&
+                     ::fsync(fd) == 0;
+    if (fd >= 0) ::close(fd);
+    if (!cut)
+      throw ParseError(path, static_cast<long>(count) + 2, 0,
+                       "cannot cut the ledger back to its committed length");
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -468,6 +529,74 @@ core::ValidationResult validate_commit_state(
   return core::validate_solution(instance, solution);
 }
 
+// ----- Wal::Reaper -----
+
+// Releases disk space off the worker thread. Where the filesystem discards
+// freed blocks (ext4 mounted with `discard`), closing a replaced log or
+// unlinking a pruned snapshot takes 15–130 ms, and every fsync issued
+// meanwhile waits for it. The reaper does those frees one at a time and
+// rests as long as each took, so no snapshot waits for them and no two
+// land back to back on the appends' fsyncs.
+class Wal::Reaper {
+ public:
+  Reaper() = default;
+  Reaper(const Reaper&) = delete;
+  Reaper& operator=(const Reaper&) = delete;
+  ~Reaper() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    wake_.notify_one();
+    thread_.join();
+  }
+
+  void close_later(int fd) { push({fd, {}}); }
+  void remove_later(std::string path) { push({-1, std::move(path)}); }
+
+ private:
+  struct Job {
+    int fd = -1;       // a descriptor to close, or -1
+    std::string path;  // else a file to unlink
+  };
+
+  void push(Job job) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      jobs_.push_back(std::move(job));
+    }
+    wake_.notify_one();
+  }
+
+  // Drains every queued job before it stops, so the files a Wal pruned
+  // are gone once the Wal is.
+  void run() {
+    for (;;) {
+      Job job;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        wake_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
+        if (jobs_.empty()) return;
+        job = std::move(jobs_.front());
+        jobs_.pop_front();
+      }
+      const Stopwatch watch;
+      if (job.fd >= 0) ::close(job.fd);
+      else ::unlink(job.path.c_str());
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (!stop_)
+        wake_.wait_for(lock, std::chrono::duration<double>(watch.seconds()),
+                       [this] { return stop_; });
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::deque<Job> jobs_;
+  bool stop_ = false;
+  std::thread thread_{[this] { run(); }};
+};
+
 // ----- Wal -----
 
 std::unique_ptr<Wal> Wal::open(const std::string& dir,
@@ -493,15 +622,36 @@ std::unique_ptr<Wal> Wal::open(const std::string& dir,
   for (const std::string& name : snapshots)
     max_snapshot_tag = std::max<std::uint64_t>(
         max_snapshot_tag, std::strtoull(name.c_str() + 9, nullptr, 16));
+  std::uint64_t in_ledger = 0;
   for (const std::string& name : snapshots) {
     result.had_state = true;
-    if (load_snapshot(dir + "/" + name, fingerprint, &result.state)) {
+    if (load_snapshot(dir + "/" + name, fingerprint, &result.state,
+                      &in_ledger)) {
       wal->stats_.recovered_snapshot = true;
       break;
     }
   }
 
-  // 2. Replay the log tail under the journal's torn-tail rule
+  // 2. The snapshot's ledger prefix: the oldest retired commits, ahead of
+  // any the snapshot holds inline. Ledger bytes past that prefix are cut
+  // (load_ledger); with no prefix the whole file goes, and the next
+  // snapshot that retires anything creates it afresh.
+  wal->ledger_path_ = dir + "/" + kLedgerName;
+  if (in_ledger > 0) {
+    std::vector<Commit> retired;
+    wal->ledger_bytes_ =
+        load_ledger(wal->ledger_path_, fingerprint, in_ledger, &retired);
+    retired.insert(retired.end(),
+                   std::make_move_iterator(result.state.retired.begin()),
+                   std::make_move_iterator(result.state.retired.end()));
+    result.state.retired = std::move(retired);
+  } else {
+    std::filesystem::remove(wal->ledger_path_, ec);
+  }
+  wal->ledger_count_ = in_ledger;
+  wal->stats_.ledger_commits = static_cast<long>(in_ledger);
+
+  // 3. Replay the log tail under the journal's torn-tail rule
   // (support/journal). A record is applied iff its (decisions, version)
   // pair postdates the state built so far.
   std::uint64_t last_txid = 0;
@@ -545,26 +695,31 @@ std::unique_ptr<Wal> Wal::open(const std::string& dir,
   wal->next_txid_ = std::max({last_txid + 1, result.state.decisions + 1,
                               max_snapshot_tag + 1});
 
-  // 3. Open the appender.
+  // 4. Open the appender.
   wal->fd_ = ::open(wal->log_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   TVNEP_REQUIRE(wal->fd_ >= 0, "cannot open WAL appender at " + wal->log_path_);
 
-  // 4. Compact what was replayed into a fresh snapshot, so a crash loop
-  // replays a bounded tail instead of an ever-growing one.
+  // 5. Compact what was replayed into a fresh snapshot, so a crash loop
+  // replays a bounded tail instead of an ever-growing one. Nothing is
+  // served yet, so its frees run inline; from here on the reaper takes
+  // them.
   if (wal->stats_.replayed > 0 || torn)
     (void)wal->write_snapshot_locked(result.state);
+  wal->reaper_ = std::make_unique<Reaper>();
 
   if (recovered != nullptr) *recovered = std::move(result);
   return wal;
 }
 
 Wal::~Wal() {
+  reaper_.reset();
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0) {
     if (!dead_ && unsynced_records_ > 0) ::fsync(fd_);
     ::close(fd_);
     fd_ = -1;
   }
+  if (ledger_fd_ >= 0) ::close(ledger_fd_);
 }
 
 void Wal::attach(AdmissionEngine* engine) {
@@ -703,8 +858,38 @@ bool Wal::write_snapshot(const AdmissionEngine::Snapshot& state) {
   return write_snapshot_locked(state);
 }
 
+bool Wal::snapshot_engine(const AdmissionEngine& engine) {
+  std::uint64_t in_ledger = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    in_ledger = ledger_count_;
+  }
+  bool published = false;
+  engine.with_snapshot_since(
+      static_cast<std::size_t>(in_ledger),
+      [&](const AdmissionEngine::Snapshot& state) {
+        published = write_snapshot(state);
+      });
+  return published;
+}
+
 bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
   if (dead_) return false;
+  const std::uint64_t retired = state.retired_base + state.retired.size();
+  obs::SpanScope span("serve.wal.snapshot", "serve",
+                      "\"active\":" + std::to_string(state.commits.size()) +
+                          ",\"retired\":" + std::to_string(retired) +
+                          ",\"ledger\":" + std::to_string(ledger_count_));
+  const Stopwatch watch;
+  const bool published = publish_snapshot_locked(state);
+  const double ms = watch.seconds() * 1e3;
+  obs::histogram_observe("serve.wal.snapshot_ms", ms);
+  stats_.snapshot_ms_last = ms;
+  stats_.snapshot_ms_max = std::max(stats_.snapshot_ms_max, ms);
+  return published;
+}
+
+bool Wal::publish_snapshot_locked(const AdmissionEngine::Snapshot& state) {
   switch (fault_at("snapshot.before_write")) {
     case WalFault::kCrash: dead_ = true; return false;
     case WalFault::kEio:
@@ -713,6 +898,21 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
       return false;
     default: break;
   }
+  // The state's retired tail must start at or before the ledger's end and
+  // reach at least to it, or the snapshot would skip or lose commits.
+  const std::uint64_t retired = state.retired_base + state.retired.size();
+  if (state.retired_base > ledger_count_ || retired < ledger_count_)
+    return false;
+  // 1-2. Append the newly retired commits to the ledger and fsync it, so
+  // the snapshot published below never names a ledger line that is not
+  // durable.
+  if (retired > ledger_count_ &&
+      !append_ledger_locked(
+          state.retired,
+          static_cast<std::size_t>(ledger_count_ - state.retired_base)))
+    return false;
+  // 3. Publish the active commits; the header's "ledger" says how many
+  // retired commits recovery reads from the ledger (all of them).
   const std::uint64_t tag = next_txid_;
   AtomicFile file(dir_ + "/" + snapshot_name(tag));
   std::ostringstream extra;
@@ -722,12 +922,11 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
         << ",\"accepted\":" << state.accepted_total
         << ",\"decisions\":" << state.decisions
         << ",\"active\":" << state.commits.size()
-        << ",\"retired\":" << state.retired.size();
+        << ",\"retired\":" << retired;
+  if (ledger_count_ > 0) extra << ",\"ledger\":" << ledger_count_;
   file.stream() << journal_header(kSnapshotFormat, fingerprint_, extra.str())
                 << "\n";
   for (const Commit& commit : state.commits)
-    file.stream() << encode_commit(commit) << "\n";
-  for (const Commit& commit : state.retired)
     file.stream() << encode_commit(commit) << "\n";
   if (!file.commit()) {
     ++stats_.io_errors;
@@ -743,15 +942,18 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
     dead_ = true;
     return false;
   }
-  // Compact: reset the log to a bare header and reopen the appender (the
-  // rename left fd_ pointing at the replaced inode).
+  // 4. Compact: reset the log to a bare header and reopen the appender
+  // (the rename left fd_ pointing at the replaced inode).
   if (!atomic_write_file(log_path_,
                          journal_header(kLogFormat, fingerprint_) + "\n")) {
     ++stats_.io_errors;
     obs::counter_add("serve.wal.io_errors");
     return true;  // snapshot still landed
   }
-  if (fd_ >= 0) ::close(fd_);
+  if (fd_ >= 0) {
+    if (reaper_ != nullptr) reaper_->close_later(fd_);
+    else ::close(fd_);
+  }
   fd_ = ::open(log_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   if (fd_ < 0) {
     dead_ = true;
@@ -759,15 +961,91 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
     obs::counter_add("serve.wal.io_errors");
     return true;
   }
+#ifdef FALLOC_FL_KEEP_SIZE
+  if (reaper_ != nullptr)
+    (void)::fallocate(fd_, FALLOC_FL_KEEP_SIZE, 0, kLogReserveBytes);
+#endif
   unsynced_records_ = 0;
   // Prune old generations, newest options_.snapshots_kept survive.
   const std::vector<std::string> names = snapshot_names(dir_);
-  std::error_code ec;
   for (std::size_t i = static_cast<std::size_t>(
            std::max(options_.snapshots_kept, 1));
-       i < names.size(); ++i)
-    std::filesystem::remove(dir_ + "/" + names[i], ec);
+       i < names.size(); ++i) {
+    if (reaper_ != nullptr) reaper_->remove_later(dir_ + "/" + names[i]);
+    else ::unlink((dir_ + "/" + names[i]).c_str());
+  }
   if (fault_at("snapshot.after_compact") == WalFault::kCrash) dead_ = true;
+  return true;
+}
+
+bool Wal::append_ledger_locked(const std::vector<Commit>& retired,
+                               std::size_t from) {
+  const auto io_error = [this] {
+    ++stats_.io_errors;
+    obs::counter_add("serve.wal.io_errors");
+    return false;
+  };
+  switch (fault_at("ledger.before_write")) {
+    case WalFault::kCrash: dead_ = true; return false;
+    case WalFault::kEio: return io_error();
+    default: break;
+  }
+  if (ledger_fd_ < 0) {
+    // Created at the first snapshot that retires anything, so a state dir
+    // that never retires never holds one.
+    if (ledger_count_ == 0) {
+      const std::string header = journal_header(kLedgerFormat, fingerprint_);
+      if (!atomic_write_file(ledger_path_, header + "\n")) return io_error();
+      ledger_bytes_ = header.size() + 1;
+    }
+    ledger_fd_ = ::open(ledger_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (ledger_fd_ < 0) return io_error();
+  }
+  std::string payload;
+  for (std::size_t i = from; i < retired.size(); ++i)
+    payload += encode_commit(retired[i]) + "\n";
+  // Cuts the file back to its committed length after a failed append, so
+  // the next append cannot land behind lines no snapshot will count.
+  const auto roll_back = [this] {
+    if (::ftruncate(ledger_fd_, static_cast<off_t>(ledger_bytes_)) != 0)
+      dead_ = true;
+  };
+  switch (fault_at("ledger.write")) {
+    case WalFault::kCrash: dead_ = true; return false;
+    case WalFault::kShortWrite:
+      // Crash mid-write: recovery cuts the torn lines, which no published
+      // snapshot counts.
+      (void)!::write(ledger_fd_, payload.data(), payload.size() / 2);
+      dead_ = true;
+      return false;
+    case WalFault::kEio: return io_error();
+    default: break;
+  }
+  if (::write(ledger_fd_, payload.data(), payload.size()) !=
+      static_cast<ssize_t>(payload.size())) {
+    roll_back();
+    return io_error();
+  }
+  switch (fault_at("ledger.fsync")) {
+    case WalFault::kCrash: dead_ = true; return false;
+    case WalFault::kEio: roll_back(); return io_error();
+    default: break;
+  }
+  if (::fsync(ledger_fd_) != 0) {
+    roll_back();
+    return io_error();
+  }
+  ledger_bytes_ += payload.size();
+  const std::size_t appended = retired.size() - from;
+  ledger_count_ += appended;
+  stats_.ledger_commits += static_cast<long>(appended);
+  obs::counter_add("serve.wal.ledger_commits", static_cast<double>(appended));
+  if (fault_at("ledger.after_fsync") == WalFault::kCrash) {
+    // The ledger lines are durable but no snapshot counts them: recovery
+    // cuts them and replays their retirements from the log.
+    dead_ = true;
+    return false;
+  }
   return true;
 }
 

@@ -1,6 +1,7 @@
 // Durable admission state for the serve daemon (DESIGN.md §16): a
-// write-ahead commit log plus periodic atomic snapshots, so a crash or
-// restart never forfeits admitted revenue.
+// write-ahead commit log, periodic atomic snapshots of the active commits,
+// and an append-only ledger of retired commits, so a crash or restart
+// never forfeits admitted revenue.
 //
 // Contract. Every engine state transition — a decision (commit accepted,
 // with its schedule, mapping and refreshed component flows; or a reject
@@ -13,25 +14,39 @@
 // fsync every `batch_records`; a SIGKILL loses nothing in either mode
 // because written bytes survive process death in the page cache).
 //
-// Recovery. `Wal::open` loads the newest valid snapshot
-// (`snapshot-<txid>.state`, written through support/atomic_file with the
-// %.17g round-trip-exact codec), replays the WAL tail in txid order
-// (records at or below the snapshot txid are skipped, so a crash between
-// snapshot publish and log compaction is idempotent), drops a torn final
-// record and repairs it on disk, and refuses — via ParseError — a log or
-// snapshot whose FNV-1a config fingerprint does not match the serving
-// configuration. Header, line reader and torn-tail rule are
-// support/journal's, shared with the sweep checkpoint journal. The caller then restores the engine from the recovered
-// state and re-validates capacity feasibility (validate_commit_state)
-// before serving; replaying the remaining trace through the recovered
-// engine yields decisions byte-identical to an uninterrupted run.
+// Snapshots. A retired commit never changes again, so each is written
+// once: a snapshot (1) appends the commits retired since the previous one
+// to `<state-dir>/ledger.jsonl` (created at the first snapshot that has
+// any), (2) fsyncs the ledger, (3) publishes `snapshot-<txid>.state` with
+// the active commits only — its header's "retired" is the total, "ledger"
+// how many of those the ledger holds — and (4) compacts the log to a bare
+// header. The replaced log and pruned generations are freed off the
+// caller's thread (see Wal::Reaper).
+//
+// Recovery. `Wal::open` loads the newest valid snapshot (written through
+// support/atomic_file with the %.17g round-trip-exact codec), reads the
+// ledger's first "ledger" commits and cuts any bytes past them (a crash
+// between the ledger fsync and the publish leaves commits that the log
+// still retires), replays the WAL tail in txid order (records at or below
+// the snapshot state are skipped, so a crash between snapshot publish and
+// log compaction is idempotent), drops a torn final record and repairs it
+// on disk, and refuses — via ParseError — a log, snapshot or ledger whose
+// FNV-1a config fingerprint does not match the serving configuration, or
+// a ledger shorter than its snapshot says. A snapshot without a "ledger"
+// key (the format before the ledger) holds every retired commit inline
+// and still loads. Header, line reader and torn-tail rule are
+// support/journal's, shared with the sweep checkpoint journal. The caller
+// then restores the engine from the recovered state and re-validates
+// capacity feasibility (validate_commit_state) before serving; replaying
+// the remaining trace through the recovered engine yields decisions
+// byte-identical to an uninterrupted run.
 //
 // Fault seam. WalOptions::fault_hook mirrors SimplexOptions::fault_hook:
 // a deterministic hook called at named kill points (before/after write,
-// fsync, snapshot publish, compaction) that can crash the log in place
-// (kCrash freezes the file exactly as a dying process would), tear a
-// record (kShortWrite) or fail an I/O (kEio) — what the kill-point
-// matrix test drives.
+// fsync, ledger append, snapshot publish, compaction) that can crash the
+// log in place (kCrash freezes the files exactly as a dying process
+// would), tear a record (kShortWrite) or fail an I/O (kEio) — what the
+// kill-point matrix test drives.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +84,10 @@ struct WalOptions {
   /// Deterministic crash/fault seam; called at the named kill points
   /// "append.before_write", "append.write", "append.after_write",
   /// "append.fsync", "append.after_fsync", "snapshot.before_write",
-  /// "snapshot.after_write", "snapshot.after_compact". Compiled always,
+  /// "snapshot.after_write", "snapshot.after_compact", and — when a
+  /// snapshot has newly retired commits — "ledger.before_write",
+  /// "ledger.write", "ledger.fsync", "ledger.after_fsync" (between
+  /// "snapshot.before_write" and "snapshot.after_write"). Compiled always,
   /// like SimplexOptions::fault_hook.
   std::function<WalFault(const char* point)> fault_hook;
 };
@@ -79,6 +97,9 @@ struct WalStats {
   long fsyncs = 0;
   long io_errors = 0;      // failed appends/fsyncs (EIO, short write)
   long snapshots = 0;      // snapshots written by this instance
+  long ledger_commits = 0; // retired commits the ledger holds
+  double snapshot_ms_last = 0.0;  // wall time of the latest snapshot
+  double snapshot_ms_max = 0.0;   // and of the slowest one
   long replayed = 0;       // records replayed at open
   long torn_repaired = 0;  // torn final records dropped and repaired
   bool recovered_snapshot = false;  // open() loaded a snapshot
@@ -119,13 +140,22 @@ class Wal {
 
   /// True once `snapshot_every` decision records accumulated since the
   /// last snapshot — the caller should then publish a fresh snapshot via
-  /// engine.with_snapshot_full([&](const auto& s) { wal.write_snapshot(s); })
-  /// so that no install record can slip between reading the state and the
-  /// log compaction (lock order engine → wal, same as the sink path).
+  /// snapshot_engine(engine).
   bool wants_snapshot() const;
 
-  /// Publishes `state` as the newest snapshot (atomic temp + rename),
-  /// compacts the log to a bare header, and prunes old generations.
+  /// Publishes the engine's state through write_snapshot while holding the
+  /// engine lock (AdmissionEngine::with_snapshot_since), handing over only
+  /// the active commits and the commits retired since the ledger's end, so
+  /// that no install record can slip between reading the state and the
+  /// log compaction (lock order engine → wal, same as the sink path).
+  bool snapshot_engine(const AdmissionEngine& engine);
+
+  /// Appends the retired commits of `state` that the ledger does not hold
+  /// yet and fsyncs the ledger, publishes the active commits as the newest
+  /// snapshot (atomic temp + rename), compacts the log to a bare header,
+  /// and prunes old generations. `state` is a full snapshot or one from
+  /// with_snapshot_since; false (nothing written) when its retired tail
+  /// does not meet the ledger's end.
   bool write_snapshot(const AdmissionEngine::Snapshot& state);
 
   /// The fault seam killed the log: no further bytes reach disk.
@@ -144,6 +174,12 @@ class Wal {
   bool append_line_locked(const std::string& line, bool* bytes_on_disk);
   bool sync_locked(const char* point);
   bool write_snapshot_locked(const AdmissionEngine::Snapshot& state);
+  bool publish_snapshot_locked(const AdmissionEngine::Snapshot& state);
+  /// Appends retired[from..] to the ledger (created on first use) with one
+  /// write and one fsync; on failure cuts the file back to its committed
+  /// length.
+  bool append_ledger_locked(const std::vector<Commit>& retired,
+                            std::size_t from);
   WalFault fault_at(const char* point);
 
   std::string dir_;
@@ -157,7 +193,15 @@ class Wal {
   std::uint64_t next_txid_ = 1;
   int unsynced_records_ = 0;
   int decisions_since_snapshot_ = 0;
+  std::string ledger_path_;
+  int ledger_fd_ = -1;  // opened at the first ledger append
+  std::uint64_t ledger_count_ = 0;  // commits durably in the ledger
+  std::uint64_t ledger_bytes_ = 0;  // the ledger's committed length
   WalStats stats_;
+  /// Frees replaced logs and pruned snapshots off the caller's thread;
+  /// null while open() recovers, which frees inline.
+  class Reaper;
+  std::unique_ptr<Reaper> reaper_;
 };
 
 // ----- codec + recovery helpers (exposed for tests and --dump-state) -----

@@ -1,5 +1,6 @@
 // The journal file format shared by the sweep checkpoint (eval/checkpoint)
-// and the serve WAL and its snapshots (serve/wal), and its recovery rule.
+// and the serve WAL, its snapshots and its ledger (serve/wal), and its
+// recovery rule.
 //
 // A journal is a header line
 //
@@ -37,7 +38,7 @@ std::string fingerprint_hex(std::uint64_t fingerprint);
 
 /// Identity of one journal kind.
 struct JournalFormat {
-  const char* magic_key;  // "journal", "wal", "snapshot"
+  const char* magic_key;  // "journal", "wal", "snapshot", "ledger"
   const char* magic;      // "tvnep-sweep", "tvnep-serve"
   int version;
 };

@@ -1,6 +1,7 @@
 // Seeded mutation fuzzing of every reader of untrusted or crash-damaged
 // bytes: the NDJSON wire (parse_json / parse_message), the sweep journal
-// (SweepJournal::resume) and the serve state dir (Wal::open). Each starts
+// (SweepJournal::resume) and the serve state dir (Wal::open: snapshot,
+// log and retired-commit ledger). Each starts
 // from valid bytes written by the live writers and is mutated by byte
 // flips, truncations, insertions, boundary numbers and duplicated lines.
 // A reader must either accept the bytes or throw ParseError — no other
@@ -264,10 +265,7 @@ TEST(Fuzz, WalStateDirOpensOrThrowsParseError) {
       message.mapping = trace.requests[i].mapping;
       engine.admit(message);
       if (wal->wants_snapshot())
-        engine.with_snapshot_full(
-            [&](const serve::AdmissionEngine::Snapshot& s) {
-              wal->write_snapshot(s);
-            });
+        wal->snapshot_engine(engine);
     }
     decisions = engine.snapshot_full().decisions;
   }
@@ -308,6 +306,112 @@ TEST(Fuzz, WalStateDirOpensOrThrowsParseError) {
         << "cut at " << cut;
     EXPECT_EQ(recovered.state.decisions, decisions - 1) << "cut at " << cut;
   }
+}
+
+TEST(Fuzz, WalLedgerOpensOrThrowsParseError) {
+  // Sparse arrivals on the 2x2 grid retire commits, so the newest snapshot
+  // counts L ledger lines and the log holds two decisions after it.
+  workload::WorkloadParams p;
+  p.num_requests = 8;
+  p.grid_rows = 2;
+  p.grid_cols = 2;
+  p.star_leaves = 1;
+  p.node_capacity = 10.0;
+  p.link_capacity = 10.0;
+  p.flexibility = 1.5;
+  p.interarrival_mean = 6.0;
+  p.seed = 3;
+  const workload::ArrivalTrace trace = workload::make_trace(p);
+  const net::SubstrateNetwork substrate = net::make_grid(2, 2, 10.0, 10.0);
+  const std::uint64_t fp = serve::serve_state_fingerprint(substrate, {});
+
+  const TempDir source(fuzz_base());
+  serve::WalOptions options;
+  options.snapshot_every = 3;
+  std::vector<std::string> valid_retired;
+  {
+    serve::RecoveredState recovered;
+    const auto wal = serve::Wal::open(source.path, fp, options, &recovered);
+    serve::AdmissionEngine engine(substrate, {});
+    wal->attach(&engine);
+    for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+      serve::RequestMessage message;
+      message.id = "R" + std::to_string(i);
+      message.request = trace.requests[i].request;
+      message.mapping = trace.requests[i].mapping;
+      engine.admit(message);
+      if (wal->wants_snapshot()) wal->snapshot_engine(engine);
+    }
+    for (const serve::Commit& c : engine.snapshot_full().retired)
+      valid_retired.push_back(serve::encode_commit(c));
+  }
+  std::string snapshot_name;
+  for (const auto& entry : std::filesystem::directory_iterator(source.path)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.path().extension() == ".state" && name > snapshot_name)
+      snapshot_name = name;
+  }
+  const std::string snapshot = read_all(source.file(snapshot_name));
+  const std::string log = read_all(source.file("wal.jsonl"));
+  const std::string ledger = read_all(source.file("ledger.jsonl"));
+  ASSERT_EQ(std::count(log.begin(), log.end(), '\n'), 3);
+  ASSERT_NE(snapshot.find("\"ledger\":"), std::string::npos);
+  const long ledger_lines = std::count(ledger.begin(), ledger.end(), '\n');
+  ASSERT_GE(ledger_lines, 3);  // header and at least two commits
+
+  const TempDir dir(fuzz_base());
+  const auto open_state = [&](const std::string& ledger_bytes,
+                              serve::RecoveredState* recovered) {
+    std::filesystem::remove_all(dir.path);
+    std::filesystem::create_directories(dir.path);
+    write_all(dir.file(snapshot_name), snapshot);
+    write_all(dir.file("wal.jsonl"), log);
+    write_all(dir.file("ledger.jsonl"), ledger_bytes);
+    return accepts(
+        [&] { serve::Wal::open(dir.path, fp, {}, recovered); },
+        ledger_bytes);
+  };
+  const auto retired_of = [](const serve::RecoveredState& recovered) {
+    std::vector<std::string> out;
+    for (const serve::Commit& c : recovered.state.retired)
+      out.push_back(serve::encode_commit(c));
+    return out;
+  };
+
+  Rng rng(17);
+  for (int i = 0; i < kMutations / 2; ++i) {
+    serve::RecoveredState recovered;
+    open_state(mutate(ledger, rng), &recovered);
+  }
+
+  // Lines past the snapshot's count — a torn one, or whole ones appended
+  // by a snapshot that never published — are cut, and the state is the
+  // uninterrupted one. Recovery's compaction then appends the commits the
+  // log retired, so the ledger holds every retired commit once.
+  std::string compacted = ledger.substr(0, ledger.find('\n') + 1);
+  for (const std::string& line : valid_retired) compacted += line + '\n';
+  const std::size_t last_begin = ledger.rfind('\n', ledger.size() - 2) + 1;
+  const std::string last_line = ledger.substr(last_begin);
+  for (const std::string& tail :
+       {last_line.substr(0, last_line.size() / 2), last_line,
+        last_line + last_line}) {
+    serve::RecoveredState recovered;
+    EXPECT_TRUE(open_state(ledger + tail, &recovered));
+    EXPECT_EQ(retired_of(recovered), valid_retired);
+    EXPECT_EQ(read_all(dir.file("ledger.jsonl")), compacted);
+  }
+
+  // A bad line the snapshot counts, or a ledger shorter than its count,
+  // loses committed commits: refused.
+  const std::size_t first_begin = ledger.find('\n') + 1;
+  const std::size_t first_end = ledger.find('\n', first_begin);
+  std::string bad_middle = ledger;
+  bad_middle.replace(first_begin, first_end - first_begin, "{\"seq\":");
+  serve::RecoveredState recovered;
+  EXPECT_FALSE(open_state(bad_middle, &recovered));
+  EXPECT_FALSE(open_state(ledger.substr(0, last_begin), &recovered));
+  EXPECT_FALSE(open_state(ledger.substr(0, last_begin + 5), &recovered));
+  EXPECT_FALSE(open_state("", &recovered));
 }
 
 }  // namespace

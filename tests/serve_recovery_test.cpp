@@ -12,6 +12,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "net/topology.hpp"
 #include "serve/admission.hpp"
 #include "serve/wal.hpp"
+#include "support/json.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
 #include "temp_dir.hpp"
@@ -31,6 +34,15 @@ workload::WorkloadParams matrix_params() {
   p.num_requests = 8;
   p.flexibility = 1.5;
   p.seed = 3;
+  return p;
+}
+
+/// Sparse arrivals: whole components retire mid-trace, so snapshots have
+/// newly retired commits to append to the ledger.
+workload::WorkloadParams retiring_params() {
+  workload::WorkloadParams p = matrix_params();
+  p.num_requests = 12;
+  p.interarrival_mean = 12.0;
   return p;
 }
 
@@ -94,8 +106,7 @@ void drive(AdmissionEngine* engine, Wal* wal,
     const AdmitResult result = engine->admit(to_message(trace.requests[i], i));
     if (decisions != nullptr) decisions->push_back(decision_key(result));
     if (!wal->crashed() && wal->wants_snapshot())
-      engine->with_snapshot_full(
-          [&](const AdmissionEngine::Snapshot& s) { wal->write_snapshot(s); });
+      wal->snapshot_engine(*engine);
   }
 }
 
@@ -134,9 +145,7 @@ void run_matrix_case(const workload::WorkloadParams& p,
          i < trace.requests.size() && !wal->crashed(); ++i) {
       engine.admit(to_message(trace.requests[i], i));
       if (!wal->crashed() && wal->wants_snapshot())
-        engine.with_snapshot_full([&](const AdmissionEngine::Snapshot& s) {
-          wal->write_snapshot(s);
-        });
+        wal->snapshot_engine(engine);
     }
     ASSERT_TRUE(wal->crashed());  // the dry run said this point fires
     engine.set_state_sink({});
@@ -170,48 +179,148 @@ void run_matrix_case(const workload::WorkloadParams& p,
   engine.set_state_sink({});
 }
 
+/// Dry run: how often each fault point fires on `trace`, so the matrix
+/// covers first/middle/last occurrences without guessing.
+std::map<std::string, int> count_fault_points(
+    const workload::WorkloadParams& p, const workload::ArrivalTrace& trace) {
+  std::map<std::string, int> fired;
+  TempDir dir;
+  const net::SubstrateNetwork substrate = paper_grid(p);
+  const std::uint64_t fp = serve_state_fingerprint(substrate, {});
+  WalOptions counting;
+  counting.snapshot_every = kSnapshotEvery;
+  counting.fault_hook = [&](const char* at) {
+    ++fired[at];
+    return WalFault::kNone;
+  };
+  AdmissionEngine engine(substrate, {});
+  RecoveredState recovered;
+  std::unique_ptr<Wal> wal = Wal::open(dir.path, fp, counting, &recovered);
+  wal->attach(&engine);
+  drive(&engine, wal.get(), trace, 0, nullptr);
+  engine.set_state_sink({});
+  return fired;
+}
+
 TEST(ServeRecovery, KillPointMatrixRecoversByteIdentically) {
   const workload::WorkloadParams p = matrix_params();
   const workload::ArrivalTrace trace = workload::make_trace(p);
   const Reference reference = run_uninterrupted(p, trace);
-
-  // Dry run: count how often each fault point actually fires on this
-  // trace, so the matrix covers first/middle/last occurrences without
-  // guessing.
-  std::map<std::string, int> fired;
-  {
-    TempDir dir;
-    const net::SubstrateNetwork substrate = paper_grid(p);
-    const std::uint64_t fp = serve_state_fingerprint(substrate, {});
-    WalOptions counting;
-    counting.snapshot_every = kSnapshotEvery;
-    counting.fault_hook = [&](const char* at) {
-      ++fired[at];
-      return WalFault::kNone;
-    };
-    AdmissionEngine engine(substrate, {});
-    RecoveredState recovered;
-    std::unique_ptr<Wal> wal = Wal::open(dir.path, fp, counting, &recovered);
-    wal->attach(&engine);
-    drive(&engine, wal.get(), trace, 0, nullptr);
-    engine.set_state_sink({});
-  }
+  std::map<std::string, int> fired = count_fault_points(p, trace);
   ASSERT_GE(fired["append.before_write"],
             static_cast<int>(trace.requests.size()));
   ASSERT_GE(fired["snapshot.before_write"], 2);
 
+  // The ledger points fire only at snapshots with newly retired commits,
+  // which this dense trace never has; they run on a sparse one that does.
+  const workload::WorkloadParams sparse = retiring_params();
+  const workload::ArrivalTrace sparse_trace = workload::make_trace(sparse);
+  const Reference sparse_reference = run_uninterrupted(sparse, sparse_trace);
+  std::map<std::string, int> sparse_fired =
+      count_fault_points(sparse, sparse_trace);
+
   for (const char* point :
        {"append.before_write", "append.write", "append.after_write",
         "append.fsync", "append.after_fsync", "snapshot.before_write",
-        "snapshot.after_write", "snapshot.after_compact"}) {
-    const int count = fired[point];
+        "snapshot.after_write", "snapshot.after_compact",
+        "ledger.before_write", "ledger.write", "ledger.fsync",
+        "ledger.after_fsync"}) {
+    const bool ledger = std::strncmp(point, "ledger.", 7) == 0;
+    const int count = ledger ? sparse_fired[point] : fired[point];
     ASSERT_GT(count, 0) << point;
     std::vector<int> occurrences = {1};
     if (count >= 3) occurrences.push_back((count + 1) / 2);
     if (count >= 2) occurrences.push_back(count);
-    for (const int occurrence : occurrences)
-      run_matrix_case(p, trace, reference, point, occurrence);
+    for (const int occurrence : occurrences) {
+      if (ledger)
+        run_matrix_case(sparse, sparse_trace, sparse_reference, point,
+                        occurrence);
+      else
+        run_matrix_case(p, trace, reference, point, occurrence);
+    }
   }
+}
+
+TEST(ServeRecovery, LedgerCrashBeforePublishKeepsEachRetiredCommitOnce) {
+  // Crash after the ledger fsync and before the snapshot publish: the
+  // ledger then holds lines no snapshot counts, whose retirements are
+  // still in the log. Recovery must cut them and replay the log, so after
+  // the next snapshot the ledger holds every retired commit exactly once,
+  // in retirement order.
+  const workload::WorkloadParams p = retiring_params();
+  const workload::ArrivalTrace trace = workload::make_trace(p);
+  const Reference reference = run_uninterrupted(p, trace);
+  const net::SubstrateNetwork substrate = paper_grid(p);
+  const std::uint64_t fp = serve_state_fingerprint(substrate, {});
+  TempDir dir;
+  const auto ledger_lines = [&] {
+    std::vector<std::string> lines;
+    std::ifstream in(dir.file("ledger.jsonl"));
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  };
+
+  // The second ledger append crashes, so the newest snapshot counts the
+  // first append's lines and recovery has lines past them to cut.
+  WalOptions faulty;
+  faulty.snapshot_every = kSnapshotEvery;
+  int appends = 0;
+  faulty.fault_hook = [&](const char* at) {
+    return std::strcmp(at, "ledger.after_fsync") == 0 && ++appends == 2
+               ? WalFault::kCrash
+               : WalFault::kNone;
+  };
+  std::size_t retired_at_crash = 0;
+  {
+    AdmissionEngine engine(substrate, {});
+    RecoveredState recovered;
+    std::unique_ptr<Wal> wal = Wal::open(dir.path, fp, faulty, &recovered);
+    wal->attach(&engine);
+    for (std::size_t i = 0;
+         i < trace.requests.size() && !wal->crashed(); ++i) {
+      engine.admit(to_message(trace.requests[i], i));
+      if (wal->wants_snapshot()) wal->snapshot_engine(engine);
+    }
+    ASSERT_TRUE(wal->crashed());
+    retired_at_crash = engine.retired_commits();
+    engine.set_state_sink({});
+  }
+  ASSERT_EQ(ledger_lines().size(), 1 + retired_at_crash);
+  std::string newest;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("snapshot-", 0) == 0 && name > newest) newest = name;
+  }
+  std::ifstream snapshot(dir.file(newest));
+  std::string header;
+  std::getline(snapshot, header);
+  const JsonValue* counted = parse_json(header, newest).find("ledger");
+  ASSERT_NE(counted, nullptr);
+  ASSERT_GT(counted->as_number(), 0.0);
+  ASSERT_LT(counted->as_number(), static_cast<double>(retired_at_crash));
+
+  RecoveredState recovered;
+  WalOptions clean;
+  clean.snapshot_every = kSnapshotEvery;
+  std::unique_ptr<Wal> wal = Wal::open(dir.path, fp, clean, &recovered);
+  EXPECT_EQ(recovered.state.retired.size(), retired_at_crash);
+  AdmissionEngine engine(substrate, {});
+  engine.restore(recovered.state);
+  wal->attach(&engine);
+  std::vector<std::string> resumed;
+  drive(&engine, wal.get(), trace, recovered.state.decisions, &resumed);
+  for (std::size_t i = 0; i < resumed.size(); ++i)
+    EXPECT_EQ(resumed[i], reference.decisions[recovered.state.decisions + i]);
+  ASSERT_TRUE(wal->snapshot_engine(engine));
+  engine.set_state_sink({});
+
+  const AdmissionEngine::Snapshot final_state = engine.snapshot_full();
+  EXPECT_EQ(encode_state(final_state), reference.final_state);
+  const std::vector<std::string> lines = ledger_lines();
+  ASSERT_EQ(lines.size(), 1 + final_state.retired.size());
+  for (std::size_t i = 0; i < final_state.retired.size(); ++i)
+    EXPECT_EQ(lines[i + 1], encode_commit(final_state.retired[i]))
+        << "ledger line " << (i + 2);
 }
 
 TEST(ServeRecovery, ShortWriteMatrixDropsOnlyTheTornDecision) {
@@ -294,9 +403,7 @@ TEST(ServeRecovery, RecoversAcrossComponentRetirement) {
          i < trace.requests.size() && !wal->crashed(); ++i) {
       engine.admit(to_message(trace.requests[i], i));
       if (!wal->crashed() && wal->wants_snapshot())
-        engine.with_snapshot_full([&](const AdmissionEngine::Snapshot& s) {
-          wal->write_snapshot(s);
-        });
+        wal->snapshot_engine(engine);
     }
     ASSERT_TRUE(wal->crashed());
     live_retired = engine.retired_commits();

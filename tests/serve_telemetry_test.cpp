@@ -1,8 +1,9 @@
 // The serve telemetry plane end-to-end: the loopback /metrics listener
 // answering Prometheus scrapes from the live registry, the live ObsSession
 // pump draining the tracer into a rotating JSONL stream, request-lifecycle
-// span linkage across the daemon's reader/worker threads, and the extended
-// stats protocol record. Runs in the TSan tier-1 subset — the scraper,
+// span linkage across the daemon's reader/worker threads, the WAL snapshot
+// span, histogram and ledger counter, and the extended stats protocol
+// record. Runs in the TSan tier-1 subset — the scraper,
 // pump, reader and worker threads all overlap here.
 #include <gtest/gtest.h>
 
@@ -19,12 +20,14 @@
 #include <vector>
 
 #include "net/topology.hpp"
+#include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "serve/daemon.hpp"
 #include "serve/json.hpp"
 #include "serve/metrics_server.hpp"
+#include "temp_dir.hpp"
 #include "workload/trace.hpp"
 
 namespace tvnep::serve {
@@ -245,6 +248,80 @@ TEST_F(ServeTelemetryTest, StatsRecordCarriesLadderQueueAndSloFields) {
   EXPECT_EQ(counts.overload, 0);
   EXPECT_EQ(daemon.reoptimizer().stale_discards(), 0);
   EXPECT_EQ(daemon.reoptimizer().cancelled(), 0);
+}
+
+TEST_F(ServeTelemetryTest, WalSnapshotIsTimedTracedAndCounted) {
+  // A request that waits behind a snapshot shows it: every snapshot is a
+  // serve.wal.snapshot span and a serve.wal.snapshot_ms sample, the commits
+  // it moves to the ledger count into serve.wal.ledger_commits, and the
+  // stats record carries all three.
+  obs::Tracer::instance().start();
+  obs::Metrics::instance().start();
+  const TempDir state;
+  DaemonOptions options;
+  options.slo_ms = 2000.0;
+  options.state_dir = state.path;
+  options.wal.snapshot_every = 2;
+  Daemon daemon(net::make_grid(4, 5, 3.5, 5.0), options);
+  int pipes_in[2], pipes_out[2];
+  ASSERT_EQ(::pipe(pipes_in), 0);
+  ASSERT_EQ(::pipe(pipes_out), 0);
+  std::thread worker([&] {
+    daemon.serve(pipes_in[0], pipes_out[1]);
+    ::close(pipes_out[1]);
+  });
+  // Sparse arrivals, so components retire between snapshots.
+  workload::WorkloadParams params;
+  params.num_requests = 8;
+  params.flexibility = 1.5;
+  params.interarrival_mean = 12.0;
+  params.seed = 3;
+  const workload::ArrivalTrace trace = workload::make_trace(params);
+  std::string payload;
+  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+    RequestMessage message;
+    message.id = "R" + std::to_string(i);
+    message.request = trace.requests[i].request;
+    message.mapping = trace.requests[i].mapping;
+    payload += encode_request(message) + "\n";
+  }
+  payload += "{\"type\":\"stats\"}\n{\"type\":\"drain\"}\n";
+  write_all(pipes_in[1], payload);
+  ::close(pipes_in[1]);
+  const std::string replies = read_to_eof(pipes_out[0]);
+  worker.join();
+  ::close(pipes_in[0]);
+  ::close(pipes_out[0]);
+  obs::Tracer::instance().stop();
+
+  int spans = 0;
+  for (const obs::TraceEvent& e : obs::Tracer::instance().drain()) {
+    if (std::string(e.name) != "serve.wal.snapshot") continue;
+    ++spans;
+    EXPECT_EQ(e.phase, 'X');
+    for (const char* arg : {"\"active\":", "\"retired\":", "\"ledger\":"})
+      EXPECT_NE(e.args.find(arg), std::string::npos) << e.args;
+  }
+  EXPECT_EQ(spans, 4);  // 8 decisions, one snapshot every 2
+
+  const obs::MetricsSnapshot metrics = obs::Metrics::instance().snapshot();
+  ASSERT_EQ(metrics.histograms.count("serve.wal.snapshot_ms"), 1u);
+  EXPECT_EQ(metrics.histograms.at("serve.wal.snapshot_ms").count, 4);
+  ASSERT_EQ(metrics.counters.count("serve.wal.ledger_commits"), 1u);
+  const double in_ledger = metrics.counters.at("serve.wal.ledger_commits");
+  EXPECT_GT(in_ledger, 0.0);
+  EXPECT_LE(in_ledger, static_cast<double>(daemon.engine().retired_commits()));
+  const std::string exposition = obs::render_prometheus(metrics, {});
+  EXPECT_NE(exposition.find("# TYPE serve_wal_snapshot_ms histogram"),
+            std::string::npos);
+  EXPECT_NE(exposition.find("# TYPE serve_wal_ledger_commits counter"),
+            std::string::npos);
+
+  for (const char* field : {"\"wal_snapshot_ms_last\":",
+                            "\"wal_snapshot_ms_max\":",
+                            "\"wal_ledger_commits\":"})
+    EXPECT_NE(replies.find(field), std::string::npos)
+        << "stats record lacks " << field;
 }
 
 TEST_F(ServeTelemetryTest, RefreshSloGaugesExportsBudgetState) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include "serve/admission.hpp"
 #include "serve/json.hpp"
 #include "serve/net_util.hpp"
+#include "support/journal.hpp"
 #include "support/parse_error.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
@@ -78,8 +80,7 @@ void run_trace(AdmissionEngine* engine, Wal* wal,
   for (std::size_t i = begin; i < trace.requests.size(); ++i) {
     engine->admit(to_message(trace.requests[i], i));
     if (wal != nullptr && !wal->crashed() && wal->wants_snapshot())
-      engine->with_snapshot_full(
-          [&](const AdmissionEngine::Snapshot& s) { wal->write_snapshot(s); });
+      wal->snapshot_engine(*engine);
   }
 }
 
@@ -330,6 +331,110 @@ TEST(ServeWal, SnapshotCompactionBoundsTheLogAndPrunesGenerations) {
   std::unique_ptr<Wal> wal = Wal::open(dir.path, fp, options, &recovered);
   EXPECT_TRUE(wal->stats().recovered_snapshot);
   EXPECT_EQ(encode_state(recovered.state), live_state);
+}
+
+/// The snapshot the format before the ledger wrote for `state`: every
+/// retired commit inline after the active ones, and no "ledger" key.
+std::string inline_retired_snapshot(const AdmissionEngine::Snapshot& state,
+                                    std::uint64_t fingerprint,
+                                    std::uint64_t txid) {
+  std::string out =
+      journal_header(JournalFormat{"snapshot", "tvnep-serve", 1}, fingerprint,
+                     ",\"txid\":" + std::to_string(txid) +
+                         ",\"engine_version\":" +
+                         std::to_string(state.version) +
+                         ",\"now\":" + wal_number(state.now) +
+                         ",\"next_seq\":" + std::to_string(state.next_seq) +
+                         ",\"accepted\":" +
+                         std::to_string(state.accepted_total) +
+                         ",\"decisions\":" + std::to_string(state.decisions) +
+                         ",\"active\":" +
+                         std::to_string(state.commits.size()) +
+                         ",\"retired\":" +
+                         std::to_string(state.retired.size())) +
+      "\n";
+  for (const Commit& c : state.commits) out += encode_commit(c) + "\n";
+  for (const Commit& c : state.retired) out += encode_commit(c) + "\n";
+  return out;
+}
+
+TEST(ServeWal, SnapshotHoldsOnlyActiveCommits) {
+  // Sparse arrivals retire component after component. Each snapshot must
+  // carry the active commits alone; the retired ones go to the ledger
+  // once each, and recovery hands back the same retired commits, in the
+  // same order, as a snapshot holding them all inline.
+  workload::WorkloadParams p = trace_params();
+  p.num_requests = 24;
+  p.interarrival_mean = 12.0;
+  const workload::ArrivalTrace trace = workload::make_trace(p);
+  const net::SubstrateNetwork substrate = paper_grid(p);
+  const std::uint64_t fp = serve_state_fingerprint(substrate, {});
+  TempDir dir;
+  WalOptions options;
+  options.snapshot_every = 3;
+
+  AdmissionEngine::Snapshot live;
+  std::vector<Commit> history;
+  {
+    AdmissionEngine engine(substrate, {});
+    RecoveredState recovered;
+    std::unique_ptr<Wal> wal = Wal::open(dir.path, fp, options, &recovered);
+    wal->attach(&engine);
+    int snapshots = 0;
+    for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+      engine.admit(to_message(trace.requests[i], i));
+      if (!wal->wants_snapshot()) continue;
+      ASSERT_TRUE(wal->snapshot_engine(engine));
+      ++snapshots;
+      std::string newest;
+      for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("snapshot-", 0) == 0 && name > newest) newest = name;
+      }
+      EXPECT_EQ(file_lines(dir.file(newest)).size(),
+                1 + engine.active_commits())
+          << newest;
+    }
+    EXPECT_EQ(snapshots, 8);
+    ASSERT_TRUE(wal->snapshot_engine(engine));
+    EXPECT_EQ(wal->stats().ledger_commits,
+              static_cast<long>(engine.retired_commits()));
+    live = engine.snapshot_full();
+    history = engine.history();
+    engine.set_state_sink({});
+  }
+  ASSERT_GE(live.retired.size(), 10u);
+
+  // The ledger holds history minus the active commits: each retired
+  // commit once, in retirement order.
+  const std::vector<std::string> ledger = file_lines(dir.file("ledger.jsonl"));
+  ASSERT_EQ(ledger.size(), 1 + live.retired.size());
+  std::vector<std::string> expected;
+  for (const Commit& c : history) {
+    bool active = false;
+    for (const Commit& a : live.commits) active = active || a.seq == c.seq;
+    if (!active) expected.push_back(encode_commit(c));
+  }
+  std::vector<std::string> held(ledger.begin() + 1, ledger.end());
+  for (std::size_t i = 0; i < live.retired.size(); ++i)
+    EXPECT_EQ(held[i], encode_commit(live.retired[i])) << "line " << (i + 2);
+  std::sort(held.begin(), held.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(held, expected);
+
+  // Recovery (what --dump-state prints) equals recovering a snapshot that
+  // holds every retired commit inline.
+  RecoveredState from_ledger;
+  Wal::open(dir.path, fp, options, &from_ledger);
+  TempDir inline_dir;
+  {
+    std::ofstream(inline_dir.file("snapshot-0000000000000001.state"))
+        << inline_retired_snapshot(live, fp, 1);
+  }
+  RecoveredState from_inline;
+  Wal::open(inline_dir.path, fp, options, &from_inline);
+  EXPECT_EQ(encode_state(from_ledger.state), encode_state(live));
+  EXPECT_EQ(encode_state(from_inline.state), encode_state(live));
 }
 
 TEST(ServeWal, ShortWriteTearsOnlyTheUnacknowledgedRecord) {

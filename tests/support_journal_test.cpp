@@ -2,7 +2,8 @@
 // (support/journal): header check, line reader and torn-tail rule, and a
 // pin of the on-disk formats — sweep-journal, WAL-log and snapshot bytes
 // held inline, each with a torn tail, must resume to the same records
-// and state, repair to the same bytes, and re-render record for record.
+// and state, repair to the same bytes, and re-render record for record;
+// a snapshot from before the retired-commit ledger must still load.
 #include "support/journal.hpp"
 
 #include <gtest/gtest.h>
@@ -283,6 +284,73 @@ TEST(Journal, WalStateBytesRecoverAndRepairUnchanged) {
   EXPECT_EQ(read_all(dir.file("snapshot-0000000000000004.state")), kSnapshot4);
   EXPECT_EQ(read_all(dir.file("snapshot-0000000000000005.state")), kSnapshot5);
   EXPECT_EQ(read_all(dir.file("wal.jsonl")), kWalCompacted);
+}
+
+// A snapshot in the format from before the retired-commit ledger, as it
+// wrote one on the same grid for sparser arrivals (mean gap 6): three
+// active commits, then the two retired ones inline, and no "ledger" key.
+const std::string kInlineRetiredSnapshot6 = R"J({"snapshot":"tvnep-serve","version":1,"fingerprint":"8f8ffd6a8ecb6771","txid":6,"engine_version":5,"now":33.979794744731983,"next_seq":5,"accepted":5,"decisions":5,"active":3,"retired":2}
+{"seq":2,"id":"R2","fp":false,"start":31.018506456678718,"end":33.104666493410015,"req":{"name":"R2","ts":31.018506456678718,"te":34.604666493410015,"d":2.086160036731298,"nodes":[1.5920702681418322,1.3485357169889065],"links":[[0,1,1.2621496071968357]]},"map":[1,3],"embed":{"start":31.018506456678718,"end":33.104666493410015,"nm":[1,3],"flow":[0,0,0,0,1,0,0,0]}}
+{"seq":3,"id":"R3","fp":false,"start":32.091933725043958,"end":34.988001798401633,"req":{"name":"R3","ts":32.091933725043958,"te":36.488001798401633,"d":2.8960680733576774,"nodes":[1.6832492320025203,1.2170445438486439],"links":[[0,1,1.2871526562625504]]},"map":[3,3],"embed":{"start":32.091933725043958,"end":34.988001798401633,"nm":[3,3],"flow":[0,0,0,0,0,0,0,0]}}
+{"seq":4,"id":"R4","fp":false,"start":33.979794744731983,"end":38.337180822933412,"req":{"name":"R4","ts":33.979794744731983,"te":39.837180822933412,"d":4.3573860782014302,"nodes":[1.0693318097359308,1.2554847299479315],"links":[[0,1,1.2156052299034208]]},"map":[1,3],"embed":{"start":33.979794744731983,"end":38.337180822933412,"nm":[1,3],"flow":[0,0,0,0,1,0,0,0]}}
+{"seq":0,"id":"R0","fp":false,"start":17.802703427275627,"end":20.437825691598569,"req":{"name":"R0","ts":17.802703427275627,"te":21.937825691598569,"d":2.6351222643229399,"nodes":[1.8448223603965261,1.626796133487542],"links":[[0,1,1.1111949128263054]]},"map":[1,3],"embed":{"start":17.802703427275627,"end":20.437825691598569,"nm":[1,3],"flow":[0,0,0,0,1,0,0,0]}}
+{"seq":1,"id":"R1","fp":false,"start":21.33787034418301,"end":29.003137272959378,"req":{"name":"R1","ts":21.33787034418301,"te":30.503137272959378,"d":7.6652669287763695,"nodes":[1.1992895994421837,1.3544808552344998],"links":[[0,1,1.4592764960989364]]},"map":[3,2],"embed":{"start":21.33787034418301,"end":29.003137272959378,"nm":[3,2],"flow":[0,0,0,0,0,0,0,1]}}
+)J";
+
+TEST(Journal, InlineRetiredSnapshotRecoversAndMovesToTheLedger) {
+  const net::SubstrateNetwork substrate = net::make_grid(2, 2, 10.0, 10.0);
+  const std::uint64_t fingerprint =
+      serve::serve_state_fingerprint(substrate, {});
+  const TempDir dir;
+  write_all(dir.file("snapshot-0000000000000006.state"),
+            kInlineRetiredSnapshot6);
+  write_all(dir.file("wal.jsonl"), kWalCompacted);
+  serve::RecoveredState recovered;
+  auto wal = serve::Wal::open(dir.path, fingerprint, {}, &recovered);
+  EXPECT_EQ(wal->stats().replayed, 0);
+  EXPECT_EQ(recovered.state.decisions, 5u);
+  EXPECT_EQ(recovered.state.version, 5u);
+  EXPECT_EQ(recovered.state.next_seq, 5u);
+  EXPECT_EQ(recovered.state.accepted_total, 5u);
+  const std::vector<std::string> lines = lines_of(kInlineRetiredSnapshot6);
+  ASSERT_EQ(lines.size(), 6u);
+  ASSERT_EQ(recovered.state.commits.size(), 3u);
+  ASSERT_EQ(recovered.state.retired.size(), 2u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(serve::encode_commit(recovered.state.commits[i]), lines[i + 1]);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(serve::encode_commit(recovered.state.retired[i]), lines[i + 4]);
+  // Opening wrote nothing: the ledger appears with the next snapshot.
+  EXPECT_FALSE(std::filesystem::exists(dir.file("ledger.jsonl")));
+
+  // The next snapshot moves the inline commits into the ledger, in order,
+  // and keeps only the active ones.
+  serve::AdmissionEngine engine(substrate, {});
+  engine.restore(recovered.state);
+  ASSERT_TRUE(wal->snapshot_engine(engine));
+  EXPECT_EQ(wal->stats().ledger_commits, 2);
+  EXPECT_EQ(read_all(dir.file("ledger.jsonl")),
+            "{\"ledger\":\"tvnep-serve\",\"version\":1,\"fingerprint\":"
+            "\"8f8ffd6a8ecb6771\"}\n" +
+                lines[4] + "\n" + lines[5] + "\n");
+  EXPECT_EQ(read_all(dir.file("snapshot-0000000000000007.state")),
+            "{\"snapshot\":\"tvnep-serve\",\"version\":1,\"fingerprint\":"
+            "\"8f8ffd6a8ecb6771\",\"txid\":7,\"engine_version\":5,\"now\":"
+            "33.979794744731983,\"next_seq\":5,\"accepted\":5,"
+            "\"decisions\":5,\"active\":3,\"retired\":2,\"ledger\":2}\n" +
+                lines[1] + "\n" + lines[2] + "\n" + lines[3] + "\n");
+  wal.reset();
+
+  // And the ledger-backed state recovers to the same commits.
+  serve::RecoveredState again;
+  serve::Wal::open(dir.path, fingerprint, {}, &again);
+  ASSERT_EQ(again.state.commits.size(), 3u);
+  ASSERT_EQ(again.state.retired.size(), 2u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(serve::encode_commit(again.state.commits[i]), lines[i + 1]);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(serve::encode_commit(again.state.retired[i]), lines[i + 4]);
+  EXPECT_EQ(again.state.decisions, 5u);
 }
 
 }  // namespace
